@@ -4,6 +4,10 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
+# The benchmark crate is its own workspace and builds from these crates
+# by path: a workspace API change that breaks it fails here, not in the
+# benchmark run.
+cargo build --release --offline --manifest-path idbench/Cargo.toml
 cargo test -q
 # Observability subsystem: tracing/metrics units (idbox-obs),
 # histogram/audit-ring units, and the e2e suite covering the

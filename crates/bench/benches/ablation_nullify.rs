@@ -28,7 +28,7 @@ fn bench_nullify(c: &mut Criterion) {
     ];
     for (name, model) in configs {
         let kernel = share(Kernel::new());
-        let pid = kernel.lock().spawn(Cred::ROOT, "/tmp", "nullify").unwrap();
+        let pid = kernel.spawn(Cred::ROOT, "/tmp", "nullify").unwrap();
         let mut sup = Supervisor::interposed(kernel, Box::new(AllowAll), model);
         let mut ctx = GuestCtx::new(&mut sup, pid);
         ctx.write_file("/tmp/f", b"x").unwrap();

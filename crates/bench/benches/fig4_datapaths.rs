@@ -11,11 +11,11 @@ use idbox_vfs::Cred;
 
 fn setup(model: Option<CostModel>, size: usize) -> (Supervisor, idbox_kernel::Pid) {
     let kernel = share(Kernel::new());
-    let pid = kernel.lock().spawn(Cred::ROOT, "/tmp", "dp").unwrap();
+    let pid = kernel.spawn(Cred::ROOT, "/tmp", "dp").unwrap();
     {
-        let mut k = kernel.lock();
+        let k = &*kernel;
         let root = k.vfs().root();
-        k.vfs_mut()
+        k.vfs()
             .write_file(root, "/tmp/dp.dat", &vec![0x5A; size], &Cred::ROOT)
             .unwrap();
     }

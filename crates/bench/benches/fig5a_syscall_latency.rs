@@ -10,7 +10,7 @@ use idbox_workloads::micro::{self, MicroCase};
 
 fn setup(model: Option<CostModel>) -> (Supervisor, idbox_kernel::Pid) {
     let kernel = share(Kernel::new());
-    let pid = kernel.lock().spawn(Cred::ROOT, "/tmp", "micro").unwrap();
+    let pid = kernel.spawn(Cred::ROOT, "/tmp", "micro").unwrap();
     let sup = match model {
         None => Supervisor::direct(kernel),
         Some(m) => Supervisor::interposed(kernel, Box::new(AllowAll), m),

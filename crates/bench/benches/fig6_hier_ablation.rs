@@ -76,7 +76,7 @@ fn bench_hier(c: &mut Criterion) {
     ];
     for (name, make_sup) in configs {
         let pid = {
-            let k = kernel.lock();
+            let k = &*kernel;
             let pid = k.spawn(Cred::new(1000, 1000), "/tmp", "bench").unwrap();
             k.set_identity(pid, visitor.to_identity()).unwrap();
             pid

@@ -5,8 +5,8 @@
 //! distinct identity working a private subtree (`/w/c{i}`), hammer one
 //! `SharedKernel` through in-kernel supervisors with a metadata-heavy
 //! mix — open/write/seek/read/close/unlink — that is *all mutating
-//! calls*, the traffic the old monolithic `Arc<RwLock<Kernel>>`
-//! serialized completely. With the kernel sharded, clients in disjoint
+//! calls*, the traffic the old single kernel-wide lock serialized
+//! completely. With the kernel sharded, clients in disjoint
 //! subtrees take disjoint locks, so aggregate throughput should scale
 //! with client count on a multi-core host.
 //!
@@ -75,7 +75,7 @@ fn run_level(kernel: &SharedKernel, n: usize, window: Duration) -> (u64, Duratio
         joins.push(std::thread::spawn(move || {
             let home = format!("/w/c{i}");
             let pid = {
-                let k = kernel.read();
+                let k = &*kernel;
                 let pid = k.spawn(Cred::new(1000, 1000), &home, "contend").unwrap();
                 k.set_identity(
                     pid,
@@ -127,14 +127,14 @@ fn main() {
         .filter(|v: &Vec<usize>| !v.is_empty())
         .unwrap_or_else(|| vec![1, 2, 4, 8]);
 
-    let mut k = Kernel::new();
+    let k = Kernel::new();
     let root = k.vfs().root();
-    k.vfs_mut().mkdir(root, "/w", 0o755, &Cred::ROOT).unwrap();
+    k.vfs().mkdir(root, "/w", 0o755, &Cred::ROOT).unwrap();
     let max = levels.iter().copied().max().unwrap_or(1);
     for i in 0..max {
         let dir = format!("/w/c{i}");
-        k.vfs_mut().mkdir(root, &dir, 0o755, &Cred::ROOT).unwrap();
-        k.vfs_mut().chown(root, &dir, 1000, 1000, &Cred::ROOT).unwrap();
+        k.vfs().mkdir(root, &dir, 0o755, &Cred::ROOT).unwrap();
+        k.vfs().chown(root, &dir, 1000, 1000, &Cred::ROOT).unwrap();
     }
     println!(
         "contention bench: {} proc shard(s), {} vfs shard(s), {} core(s)",

@@ -64,7 +64,7 @@ fn wal_dir(tag: &str) -> PathBuf {
 
 /// Build the mode's kernel with the bench working tree in place.
 fn build_kernel(mode: &Mode, dir: &Path) -> Kernel {
-    let mut k = match mode.wal {
+    let k = match mode.wal {
         Some(sync_ops) => {
             let mut cfg = WalConfig::new(dir.to_path_buf());
             cfg.sync_ops = sync_ops;
@@ -74,9 +74,9 @@ fn build_kernel(mode: &Mode, dir: &Path) -> Kernel {
         None => Kernel::new(),
     };
     let root = k.vfs().root();
-    k.vfs_mut().mkdir(root, "/w", 0o755, &Cred::ROOT).unwrap();
-    k.vfs_mut().mkdir(root, "/w/c0", 0o755, &Cred::ROOT).unwrap();
-    k.vfs_mut().chown(root, "/w/c0", 1000, 1000, &Cred::ROOT).unwrap();
+    k.vfs().mkdir(root, "/w", 0o755, &Cred::ROOT).unwrap();
+    k.vfs().mkdir(root, "/w/c0", 0o755, &Cred::ROOT).unwrap();
+    k.vfs().chown(root, "/w/c0", 1000, 1000, &Cred::ROOT).unwrap();
     k
 }
 
@@ -93,7 +93,7 @@ fn run_window(kernel: &SharedKernel, window: Duration) -> (u64, Duration) {
         let barrier = Arc::clone(&barrier);
         std::thread::spawn(move || {
             let pid = {
-                let k = kernel.read();
+                let k = &*kernel;
                 let pid = k.spawn(Cred::new(1000, 1000), "/w/c0", "durbench").unwrap();
                 k.set_identity(pid, Identity::new("globus:/O=Bench/CN=dur"))
                     .unwrap();
@@ -264,7 +264,6 @@ fn main() {
         }
         let (dir, kernel) = &kernels[i];
         let stats: WalStats = kernel
-            .read()
             .vfs()
             .wal()
             .map(|w| w.stats())

@@ -35,7 +35,7 @@ fn time_reads(ctx: &mut GuestCtx<'_>, size: usize, iters: u64) -> f64 {
 
 fn setup(model: Option<CostModel>) -> (Supervisor, idbox_kernel::Pid) {
     let kernel = share(Kernel::new());
-    let pid = kernel.lock().spawn(Cred::ROOT, "/tmp", "sweep").unwrap();
+    let pid = kernel.spawn(Cred::ROOT, "/tmp", "sweep").unwrap();
     let sup = match model {
         None => Supervisor::direct(kernel),
         Some(m) => Supervisor::interposed(kernel, Box::new(AllowAll), m),

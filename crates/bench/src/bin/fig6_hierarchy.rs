@@ -38,9 +38,8 @@ fn policy(domain: &HierId, tree: &Arc<Mutex<DomainTree>>) -> Box<HierPolicy> {
 }
 
 fn spawn_in(kernel: &SharedKernel, tree: &Arc<Mutex<DomainTree>>, d: &HierId) -> Pid {
-    let k = kernel.lock();
-    let pid = k.spawn(Cred::new(1000, 1000), "/tmp", "proc").unwrap();
-    k.set_identity(pid, d.to_identity()).unwrap();
+    let pid = kernel.spawn(Cred::new(1000, 1000), "/tmp", "proc").unwrap();
+    kernel.set_identity(pid, d.to_identity()).unwrap();
     tree.lock().assign(pid, d.clone()).unwrap();
     pid
 }
@@ -126,12 +125,12 @@ fn main() {
         let pid = spawn_in(&kernel, &tree, &visitor);
         {
             // Stage the probe file outside any box, world-readable.
-            let mut k = kernel.lock();
+            let k = &*kernel;
             let root = k.vfs().root();
-            k.vfs_mut()
+            k.vfs()
                 .write_file(root, "/tmp/probe.dat", b"x", &Cred::ROOT)
                 .unwrap();
-            k.vfs_mut()
+            k.vfs()
                 .chmod(root, "/tmp/probe.dat", 0o666, &Cred::ROOT)
                 .unwrap();
         }

@@ -1,10 +1,10 @@
 //! Server throughput under concurrent clients.
 //!
-//! Before the reader/writer kernel split, every Chirp request — even a
-//! pure read — serialized on one exclusive kernel lock, so adding
-//! clients added no throughput. This bench spawns one server and drives
-//! it with 1/2/4/8 concurrent authenticated clients running a
-//! read-heavy stat/open/pread/close loop, and reports aggregate
+//! Before the kernel was split into independently locked domains, every
+//! Chirp request — even a pure read — serialized on one kernel-wide
+//! lock, so adding clients added no throughput. This bench spawns one
+//! server and drives it with 1/2/4/8 concurrent authenticated clients
+//! running a read-heavy stat/open/pread/close loop, and reports aggregate
 //! requests per second at each level, plus per-level p50/p99 dispatch
 //! latency from the kernel's histograms (bucket ceilings, ns).
 //!
@@ -241,8 +241,7 @@ fn run_fault_level(
         let plan = plan.clone();
         handle
             .kernel()
-            .write()
-            .vfs_mut()
+            .vfs()
             .set_fault_hook(Some(FaultHook::new(move |op, _| plan.vfs_fault(op))));
     }
 
@@ -497,12 +496,12 @@ fn main() {
         // Snapshot the kernel's latency histograms and the cache
         // counters around the timed window: the diffs isolate this
         // level's dispatches.
-        let level_start = handle.kernel().read().latency().snapshot();
-        let (d_hits0, d_misses0) = handle.kernel().read().vfs().dentry_stats();
+        let level_start = handle.kernel().latency().snapshot();
+        let (d_hits0, d_misses0) = handle.kernel().vfs().dentry_stats();
         let (v_hits0, v_misses0) = verdict_counts(&admin.metrics().unwrap());
         let (reqs, elapsed) = run_level(addr, &ca, n, window);
-        let level_end = handle.kernel().read().latency().snapshot();
-        let (d_hits1, d_misses1) = handle.kernel().read().vfs().dentry_stats();
+        let level_end = handle.kernel().latency().snapshot();
+        let (d_hits1, d_misses1) = handle.kernel().vfs().dentry_stats();
         let (v_hits1, v_misses1) = verdict_counts(&admin.metrics().unwrap());
         let w = level_end.diff(&level_start);
         let p50 = w.overall_percentile(50.0).unwrap_or(0);
@@ -534,8 +533,8 @@ fn main() {
     if cores < 2 {
         // Clients and server share one hardware thread here, so
         // aggregate wall-clock throughput cannot exceed ~1x no matter
-        // how the kernel locks: the reader/writer split shows up as
-        // scaling only when there are cores to run readers on.
+        // how the kernel locks: its per-domain locking shows up as
+        // scaling only when there are cores to run clients on.
         println!("note: only {cores} core(s) available; client scaling is core-bound");
     }
     // Optional regression gate: with IDBOX_BENCH_ASSERT_SCALING set,

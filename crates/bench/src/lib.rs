@@ -97,7 +97,6 @@ fn micro_ctx(model: Option<CostModel>, caches: bool) -> (Supervisor, idbox_kerne
     match model {
         None => {
             let pid = kernel
-                .lock()
                 .spawn(sup_cred, "/tmp", "micro")
                 .expect("spawn");
             (Supervisor::direct(kernel), pid)

@@ -19,7 +19,7 @@
 use crate::codec::{self, error_line};
 use crate::poll::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::server::{
-    announced_payload, dispatch, record_span, ConnRegistry, GuestFn, Reply, SessionCtl,
+    announced_payload, dispatch, ConnRegistry, GuestFn, Reply, SessionCtl,
     SessionGauge, SessionObs, InflightGuard,
 };
 use idbox_auth::{AuthOutcome, ServerAuthMachine, ServerVerifier};
@@ -1015,7 +1015,14 @@ impl Session {
         );
         self.vm = Some(ctx.into_vm());
         drop(inflight);
-        record_span(ctl, &self.obs, Phase::Rpc, &pf.words[0], t0.elapsed());
+        idbox_obs::observe_span(
+            &ctl.slow_ops,
+            self.obs.trace.get(),
+            Phase::Rpc,
+            &pf.words[0],
+            &self.obs.identity,
+            t0.elapsed().as_nanos() as u64,
+        );
         (Some(result), false)
     }
 

@@ -10,7 +10,7 @@ use idbox_interpose::abi;
 use idbox_interpose::{share, GuestCtx, SharedKernel};
 use idbox_kernel::{Account, Kernel, OpenFlags, Pid, Syscall};
 use idbox_obs::{
-    now_unix_ns, IdentityCounters, IdentityMetrics, Phase, SlowOpLog, Span, TraceCell,
+    now_unix_ns, IdentityCounters, IdentityMetrics, Phase, SlowOpLog, TraceCell,
     IDENTITY_METRICS_DEFAULT_CAP, SLOW_OP_DEFAULT_CAP,
 };
 use idbox_types::{CostModel, Errno, SysResult};
@@ -260,7 +260,7 @@ impl ChirpServer {
         // Durable mode: boot the kernel from the WAL directory's
         // snapshot + log instead of from scratch.
         let wal_dir = resolve_wal_dir(&config.wal_dir);
-        let (mut k, recovery) = match &wal_dir {
+        let (k, recovery) = match &wal_dir {
             Some(dir) => {
                 let mut wal_cfg = idbox_vfs::WalConfig::new(dir.clone());
                 wal_cfg.sync_ops = resolve_wal_knob(config.wal_sync_ops, "IDBOX_WAL_SYNC_OPS", 65536);
@@ -287,12 +287,12 @@ impl ChirpServer {
         let sup_cred = Cred::new(1000, 1000);
         let root = k.vfs().root();
         let export = k
-            .vfs_mut()
+            .vfs()
             .mkdir_all(root, crate::EXPORT_ROOT, 0o755, &Cred::ROOT)?;
         if !restored {
-            k.vfs_mut()
+            k.vfs()
                 .chown(root, crate::EXPORT_ROOT, 1000, 1000, &Cred::ROOT)?;
-            idbox_core::write_acl(k.vfs_mut(), export, &config.root_acl, &sup_cred)?;
+            idbox_core::write_acl(k.vfs(), export, &config.root_acl, &sup_cred)?;
         }
         let slow_ops = Arc::new(SlowOpLog::new(
             SLOW_OP_DEFAULT_CAP,
@@ -342,7 +342,6 @@ impl ChirpServer {
     pub fn spawn(self) -> std::io::Result<ChirpServerHandle> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let verifier = Arc::new(self.config.verifier);
@@ -389,11 +388,10 @@ impl ChirpServer {
             .collect::<std::io::Result<_>>()?;
         // Auto-snapshot: when the kernel is durable and a cadence is
         // configured, a background thread snapshots the namespace and
-        // truncates the log whenever enough records accumulate. Taking
-        // the snapshot under the shared kernel lock lets RPCs proceed;
-        // the vfs shard read locks inside `snapshot_cut` provide the
-        // consistency point.
-        let wal = self.kernel.read().vfs().wal().cloned();
+        // truncates the log whenever enough records accumulate. RPCs
+        // proceed while it runs; the vfs shard read locks inside
+        // `snapshot_cut` provide the consistency point.
+        let wal = self.kernel.vfs().wal().cloned();
         if let (Some(wal), every) = (wal, self.wal_snapshot_every) {
             if every > 0 {
                 let kernel = Arc::clone(&self.kernel);
@@ -401,7 +399,7 @@ impl ChirpServer {
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
                         if wal.since_snapshot() >= every {
-                            let _ = kernel.read().wal_snapshot();
+                            let _ = kernel.wal_snapshot();
                         }
                         std::thread::sleep(Duration::from_millis(20));
                     }
@@ -430,8 +428,14 @@ impl ChirpServer {
         }
         let join = std::thread::spawn(move || {
             let mut next_id: u64 = 0;
-            while !stop2.load(Ordering::Relaxed) {
-                match listener.accept() {
+            loop {
+                let accepted = listener.accept();
+                // Shutdown wakes this blocking `accept` with a
+                // self-connect after setting `stop`.
+                if stop2.load(Ordering::Relaxed) {
+                    break;
+                }
+                match accepted {
                     Ok((mut stream, peer)) => {
                         // Admission gate: over the cap, the client gets
                         // a protocol error line, never a session. The
@@ -479,9 +483,6 @@ impl ChirpServer {
                             stream,
                             verifier,
                         });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
                     }
                     Err(_) => break,
                 }
@@ -601,8 +602,14 @@ impl ChirpServerHandle {
         for w in &self.wakers {
             w.notify();
         }
+        // One self-connect wakes the accept thread out of `accept` to
+        // observe the stop flag. A thread the connect cannot reach is
+        // left detached rather than joined, so shutdown cannot hang.
+        let woke = TcpStream::connect(self.addr).is_ok();
         if let Some(j) = self.join.take() {
-            let _ = j.join();
+            if woke {
+                let _ = j.join();
+            }
         }
         let deadline = std::time::Instant::now() + self.drain_deadline;
         let mut clean = true;
@@ -755,42 +762,6 @@ pub(crate) fn announced_payload(words: &[String]) -> Result<Option<u64>, Errno> 
         return Err(oversize);
     }
     Ok(Some(len))
-}
-
-/// Offer one timed phase of the current request to the slow-op ring
-/// (which applies its threshold).
-pub(crate) fn record_span(
-    ctl: &SessionCtl,
-    obs: &SessionObs,
-    phase: Phase,
-    name: &str,
-    dur: Duration,
-) {
-    let dur_ns = dur.as_nanos().min(u128::from(u64::MAX)) as u64;
-    let trace = obs.trace.get();
-    if trace.is_some() {
-        let plane = match phase {
-            Phase::Rpc => "rpc",
-            Phase::Policy => "policy",
-            Phase::Dispatch => "dispatch",
-            Phase::Exec => "exec",
-        };
-        idbox_obs::flight::record_span(
-            plane,
-            name,
-            trace,
-            now_unix_ns().saturating_sub(dur_ns),
-            dur_ns,
-        );
-    }
-    ctl.slow_ops.record(Span {
-        trace,
-        phase,
-        name: name.to_string(),
-        identity: obs.identity.clone(),
-        start_ns: now_unix_ns().saturating_sub(dur_ns),
-        dur_ns,
-    });
 }
 
 pub(crate) enum Reply {
@@ -998,12 +969,18 @@ pub(crate) fn dispatch(
             // the program it runs — the third plane of the join.
             if let Some(id) = obs.trace.get() {
                 ctl.kernel
-                    .read()
                     .set_env(ctx.pid(), abi::TRACE_ENV, id.to_string())?;
             }
             let t0 = std::time::Instant::now();
             let result = run_exec(ctx, &path, &args, programs);
-            record_span(ctl, obs, Phase::Exec, &path, t0.elapsed());
+            idbox_obs::observe_span(
+                &ctl.slow_ops,
+                obs.trace.get(),
+                Phase::Exec,
+                &path,
+                &obs.identity,
+                t0.elapsed().as_nanos() as u64,
+            );
             Ok(Reply::Line(ok_num(result? as i64)))
         }
         // Observability RPCs: restricted to configured admin
@@ -1011,7 +988,7 @@ pub(crate) fn dispatch(
         // touched.
         "stats" => {
             ctl.require_admin(principal)?;
-            let snap = ctl.kernel.read().latency().snapshot();
+            let snap = ctl.kernel.latency().snapshot();
             let mut text = String::new();
             for (name, count, p50, p99) in snap.rows() {
                 // An empty histogram has no percentiles; emit `-` rather
@@ -1071,7 +1048,7 @@ pub(crate) fn dispatch(
             text.push_str(&ctl.loop_stats.render_prometheus());
             // Durable servers expose the WAL families too. The stats
             // come from the vfs layer; obs only sees a snapshot struct.
-            let wal = ctl.kernel.read().vfs().wal().cloned();
+            let wal = ctl.kernel.vfs().wal().cloned();
             if let Some(wal) = wal {
                 let s = wal.stats();
                 text.push_str(&idbox_obs::render_wal_prometheus(&idbox_obs::WalCounters {
@@ -1094,7 +1071,7 @@ pub(crate) fn dispatch(
         // on a volatile (no-WAL) server, `EIO` when the disk fails.
         "walsnap" => {
             ctl.require_admin(principal)?;
-            match ctl.kernel.read().wal_snapshot() {
+            match ctl.kernel.wal_snapshot() {
                 Ok(Some(watermark)) => Ok(Reply::Line(format!("ok {watermark}"))),
                 Ok(None) => Err(Errno::ENOSYS),
                 Err(_) => Err(Errno::EIO),

@@ -331,7 +331,7 @@ fn chirp_driver_mounts_into_guest_namespace() {
     let client2 = ChirpClient::connect(handle.addr(), &fred_creds(&ca)).unwrap();
     let kernel = share(Kernel::new());
     let pid = {
-        let mut k = kernel.lock();
+        let k = &*kernel;
         k.mount("/chirp/srv", Box::new(ChirpDriver::new(client2)));
         let pid = k.spawn(Cred::new(1000, 1000), "/tmp", "guest").unwrap();
         k.set_identity(pid, idbox_types::Identity::new("globus:/O=UnivNowhere/CN=Fred"))

@@ -332,7 +332,7 @@ fn loop_stall_watchdog_flags_wedged_worker_and_others_keep_serving() {
     // errno stream (which stays empty here).
     let plan = FaultPlan::new(0x5EED);
     let hook_plan = plan.clone();
-    handle.kernel().write().vfs_mut().set_fault_hook(Some(FaultHook::new(
+    handle.kernel().vfs().set_fault_hook(Some(FaultHook::new(
         move |op, _ino| {
             if let Some(d) = hook_plan.vfs_slow(op) {
                 std::thread::sleep(d);

@@ -61,8 +61,7 @@ fn hook_vfs(handle: &idbox_chirp::ChirpServerHandle, plan: &FaultPlan) {
     let plan = plan.clone();
     handle
         .kernel()
-        .write()
-        .vfs_mut()
+        .vfs()
         .set_fault_hook(Some(FaultHook::new(move |op, _ino| plan.vfs_fault(op))));
 }
 

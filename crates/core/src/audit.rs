@@ -9,8 +9,7 @@
 //! recently" without unbounded memory.
 //!
 //! Recording goes through `&self` (the ring keeps its own small mutex),
-//! because rulings on read-only calls happen under the *shared* side of
-//! the kernel lock.
+//! because rulings happen concurrently on every supervisor thread.
 
 use idbox_kernel::Syscall;
 use idbox_obs::TraceId;

@@ -96,17 +96,17 @@ impl IdentityBox {
     ) -> SysResult<Self> {
         let identity = identity.into();
         let (home, passwd_copy) = {
-            let mut k = kernel.lock();
+            let k = &*kernel;
             let root = k.vfs().root();
             // The home root is world-writable system furniture (like
             // /tmp): any unprivileged user may provision boxes under it.
             // Created once, as a side effect of the first box.
-            k.vfs_mut()
+            k.vfs()
                 .mkdir_all(root, &options.home_root, 0o777, &Cred::ROOT)?;
             // Fresh home directory with an ACL giving the visitor
             // complete access (Figure 2's "mydata" directory).
             let home = format!("{}/{}", options.home_root, identity.home_component());
-            let home_ino = match k.vfs_mut().mkdir(root, &home, 0o755, &sup_cred) {
+            let home_ino = match k.vfs().mkdir(root, &home, 0o755, &sup_cred) {
                 Ok(ino) => ino,
                 // Returning visitor: the home (and its ACL) already exist.
                 Err(idbox_types::Errno::EEXIST) => {
@@ -114,7 +114,7 @@ impl IdentityBox {
                 }
                 Err(e) => return Err(e),
             };
-            aclfs::write_acl(k.vfs_mut(), home_ino, &Acl::owner(&identity), &sup_cred)?;
+            aclfs::write_acl(k.vfs(), home_ino, &Acl::owner(&identity), &sup_cred)?;
             // Private passwd copy: visiting identity first, then the
             // system entries. Neither plays any role in access control.
             let system = k.accounts().passwd_file();
@@ -127,7 +127,7 @@ impl IdentityBox {
                 system
             );
             let passwd_copy = format!("{home}/.passwd");
-            k.vfs_mut()
+            k.vfs()
                 .write_file(root, &passwd_copy, passwd.as_bytes(), &sup_cred)?;
             (home, passwd_copy)
         };
@@ -241,7 +241,7 @@ impl IdentityBox {
     /// supervising user's uid, starts in the visitor's home, and carries
     /// the visiting identity.
     pub fn spawn_process(&self, comm: &str) -> SysResult<Pid> {
-        let k = self.kernel.lock();
+        let k = &*self.kernel;
         let pid = k.spawn(self.sup_cred, &self.home, comm)?;
         k.set_identity(pid, self.identity.clone())?;
         Ok(pid)
@@ -275,10 +275,10 @@ mod tests {
             .add(idbox_kernel::Account::new("dthain", 1000, 1000))
             .unwrap();
         let root = k.vfs().root();
-        k.vfs_mut()
+        k.vfs()
             .mkdir(root, "/home/dthain", 0o700, &Cred::ROOT)
             .unwrap();
-        k.vfs_mut()
+        k.vfs()
             .chown(root, "/home/dthain", 1000, 1000, &Cred::ROOT)
             .unwrap();
         k.sync_passwd_file();
@@ -290,11 +290,11 @@ mod tests {
         let (kernel, sup) = kernel_with_dthain();
         let b = IdentityBox::create(kernel.clone(), "Freddy", sup).unwrap();
         assert_eq!(b.home(), "/home/boxes/Freddy");
-        let mut k = kernel.lock();
+        let k = &*kernel;
         let root = k.vfs().root();
         let st = k.vfs().stat(root, b.home(), true, &sup).unwrap();
         assert!(st.is_dir());
-        let passwd = k.vfs_mut().read_file(root, b.passwd_copy(), &sup).unwrap();
+        let passwd = k.vfs().read_file(root, b.passwd_copy(), &sup).unwrap();
         let text = String::from_utf8(passwd).unwrap();
         assert!(text.starts_with("Freddy:x:1000:1000:"));
         assert!(text.contains("root:x:0:0"));
@@ -306,12 +306,12 @@ mod tests {
         // allows work in Freddy's fresh home.
         let (kernel, sup) = kernel_with_dthain();
         {
-            let mut k = kernel.lock();
+            let k = &*kernel;
             let root = k.vfs().root();
-            k.vfs_mut()
+            k.vfs()
                 .write_file(root, "/home/dthain/secret", b"secret!", &sup)
                 .unwrap();
-            k.vfs_mut()
+            k.vfs()
                 .chmod(root, "/home/dthain/secret", 0o600, &sup)
                 .unwrap();
         }

@@ -571,9 +571,8 @@ impl IdentityBoxPolicy {
 
 impl IdentityBoxPolicy {
     /// The single decision procedure behind [`SyscallPolicy::check`].
-    /// Every rule reads the kernel through a shared borrow, so policy
-    /// rulings never force a dispatch path onto the exclusive side of
-    /// the kernel's structure lock.
+    /// Every rule reads the kernel through a shared borrow, like
+    /// dispatch itself.
     fn decide(&mut self, kernel: &Kernel, pid: Pid, call: &Syscall) -> PolicyDecision {
         use Syscall::*;
         self.pending_mkdir = None;
@@ -817,14 +816,14 @@ mod tests {
             .unwrap();
         let sup = Cred::new(1000, 1000);
         let root = k.vfs().root();
-        k.vfs_mut().mkdir(root, "/box", 0o755, &Cred::ROOT).unwrap();
-        k.vfs_mut().chown(root, "/box", 1000, 1000, &Cred::ROOT).unwrap();
+        k.vfs().mkdir(root, "/box", 0o755, &Cred::ROOT).unwrap();
+        k.vfs().chown(root, "/box", 1000, 1000, &Cred::ROOT).unwrap();
         let fred = Identity::new("globus:/O=UnivNowhere/CN=Fred");
         let acl = Acl::from_entries([AclEntry::new(fred.as_str(), Rights::FULL)]);
         let dir = k.vfs().resolve(root, "/box", true, &sup).unwrap();
-        aclfs::write_acl(k.vfs_mut(), dir, &acl, &sup).unwrap();
+        aclfs::write_acl(k.vfs(), dir, &acl, &sup).unwrap();
         // Private passwd copy.
-        k.vfs_mut()
+        k.vfs()
             .write_file(root, "/box/.passwd", b"fred:x:1000:1000:::\n", &sup)
             .unwrap();
         let pid = k.spawn(sup, "/box", "guest").unwrap();
@@ -856,13 +855,13 @@ mod tests {
 
     #[test]
     fn no_acl_means_nobody_rules() {
-        let (mut k, pid, mut pol) = setup();
+        let (k, pid, mut pol) = setup();
         let root = k.vfs().root();
         // Supervisor-private file outside any ACL.
-        k.vfs_mut()
+        k.vfs()
             .write_file(root, "/home/secret", b"s", &Cred::ROOT)
             .unwrap();
-        k.vfs_mut()
+        k.vfs()
             .chmod(root, "/home/secret", 0o600, &Cred::ROOT)
             .unwrap();
         assert_eq!(
@@ -870,7 +869,7 @@ mod tests {
             PolicyDecision::Deny(Errno::EACCES)
         );
         // World-readable file: nobody may read it.
-        k.vfs_mut()
+        k.vfs()
             .write_file(root, "/home/public", b"p", &Cred::ROOT)
             .unwrap();
         assert_eq!(
@@ -913,18 +912,18 @@ mod tests {
 
     #[test]
     fn mkdir_with_write_inherits_parent_acl() {
-        let (mut k, pid, mut pol) = setup();
+        let (k, pid, mut pol) = setup();
         assert_eq!(
             pol.check(&k, pid, &Syscall::Mkdir("/box/sub".into(), 0o755)),
             PolicyDecision::Allow
         );
-        let mut result = k.syscall(pid, Syscall::Mkdir("/box/sub".into(), 0o755));
+        let mut result = k.syscall_shared(pid, Syscall::Mkdir("/box/sub".into(), 0o755));
         pol.post(&k, pid, &Syscall::Mkdir("/box/sub".into(), 0o755), &mut result);
         result.unwrap();
         let sup = Cred::new(1000, 1000);
         let root = k.vfs().root();
         let sub = k.vfs().resolve(root, "/box/sub", true, &sup).unwrap();
-        let acl = aclfs::read_acl(k.vfs_mut(), sub, &sup).unwrap().unwrap();
+        let acl = aclfs::read_acl(k.vfs(), sub, &sup).unwrap().unwrap();
         assert!(acl.allows(
             &Identity::new("globus:/O=UnivNowhere/CN=Fred"),
             Rights::FULL
@@ -933,14 +932,14 @@ mod tests {
 
     #[test]
     fn reserve_right_amplifies() {
-        let (mut k, pid, _) = setup();
+        let (k, pid, _) = setup();
         let sup = Cred::new(1000, 1000);
         // Root dir of the box grants Fred only v(rwlax).
         let root = k.vfs().root();
         let dir = k.vfs().resolve(root, "/box", true, &sup).unwrap();
         let mut acl = Acl::empty();
         acl.set_reserve("globus:/O=UnivNowhere/*", Rights::NONE, Rights::RWLAX);
-        aclfs::write_acl(k.vfs_mut(), dir, &acl, &sup).unwrap();
+        aclfs::write_acl(k.vfs(), dir, &acl, &sup).unwrap();
         let fred = Identity::new("globus:/O=UnivNowhere/CN=Fred");
         let mut pol = IdentityBoxPolicy::new(fred.clone(), sup, "/box/.passwd", false);
         // Plain create denied (no w).
@@ -951,12 +950,12 @@ mod tests {
         // mkdir allowed through the reserve right...
         let call = Syscall::Mkdir("/box/work".into(), 0o755);
         assert_eq!(pol.check(&k, pid, &call), PolicyDecision::Allow);
-        let mut result = k.syscall(pid, call.clone());
+        let mut result = k.syscall_shared(pid, call.clone());
         pol.post(&k, pid, &call, &mut result);
         result.unwrap();
         // ... and the fresh ACL names Fred literally with the grant.
         let work = k.vfs().resolve(root, "/box/work", true, &sup).unwrap();
-        let work_acl = aclfs::read_acl(k.vfs_mut(), work, &sup).unwrap().unwrap();
+        let work_acl = aclfs::read_acl(k.vfs(), work, &sup).unwrap().unwrap();
         assert!(work_acl.allows(&fred, Rights::RWLAX));
         assert_eq!(work_acl.entries().len(), 1);
         assert!(!work_acl.entries()[0].subject.is_wildcard());
@@ -967,20 +966,20 @@ mod tests {
 
     #[test]
     fn reserved_directory_owner_can_dissolve_it() {
-        let (mut k, pid, _) = setup();
+        let (k, pid, _) = setup();
         let sup = Cred::new(1000, 1000);
         let root = k.vfs().root();
         let dir = k.vfs().resolve(root, "/box", true, &sup).unwrap();
         // Fred holds only the reserve right in /box.
         let mut acl = Acl::empty();
         acl.set_reserve("globus:/O=UnivNowhere/*", Rights::NONE, Rights::RWLAX);
-        aclfs::write_acl(k.vfs_mut(), dir, &acl, &sup).unwrap();
+        aclfs::write_acl(k.vfs(), dir, &acl, &sup).unwrap();
         let fred = Identity::new("globus:/O=UnivNowhere/CN=Fred");
         let mut pol = IdentityBoxPolicy::new(fred.clone(), sup, "/box/.passwd", false);
         // Reserve /box/work.
         let mk = Syscall::Mkdir("/box/work".into(), 0o755);
         assert_eq!(pol.check(&k, pid, &mk), PolicyDecision::Allow);
-        let mut result = k.syscall(pid, mk.clone());
+        let mut result = k.syscall_shared(pid, mk.clone());
         pol.post(&k, pid, &mk, &mut result);
         result.unwrap();
         // With only v in the parent, rmdir is still allowed: Fred holds
@@ -1000,7 +999,7 @@ mod tests {
 
     #[test]
     fn acl_file_needs_admin_to_modify() {
-        let (mut k, pid, mut pol) = setup();
+        let (k, pid, mut pol) = setup();
         // Fred holds FULL (includes ADMIN): may rewrite the ACL.
         assert_eq!(
             pol.check(&k, pid, &open_w("/box/.__acl")),
@@ -1014,7 +1013,7 @@ mod tests {
             "globus:/O=UnivNowhere/CN=Fred",
             Rights::READ | Rights::WRITE | Rights::LIST | Rights::EXECUTE,
         )]);
-        aclfs::write_acl(k.vfs_mut(), dir, &acl, &sup).unwrap();
+        aclfs::write_acl(k.vfs(), dir, &acl, &sup).unwrap();
         assert_eq!(
             pol.check(&k, pid, &open_w("/box/.__acl")),
             PolicyDecision::Deny(Errno::EACCES)
@@ -1032,16 +1031,16 @@ mod tests {
 
     #[test]
     fn symlink_target_directory_governs() {
-        let (mut k, pid, mut pol) = setup();
+        let (k, pid, mut pol) = setup();
         let root = k.vfs().root();
         // A link inside the box pointing at a supervisor-private file.
-        k.vfs_mut()
+        k.vfs()
             .write_file(root, "/home/secret", b"s", &Cred::ROOT)
             .unwrap();
-        k.vfs_mut()
+        k.vfs()
             .chmod(root, "/home/secret", 0o600, &Cred::ROOT)
             .unwrap();
-        k.vfs_mut()
+        k.vfs()
             .symlink(root, "/home/secret", "/box/innocent", &Cred::ROOT)
             .unwrap();
         // Opening through the box path must check the *target's* home:
@@ -1055,12 +1054,12 @@ mod tests {
 
     #[test]
     fn hard_link_to_unreadable_refused() {
-        let (mut k, pid, mut pol) = setup();
+        let (k, pid, mut pol) = setup();
         let root = k.vfs().root();
-        k.vfs_mut()
+        k.vfs()
             .write_file(root, "/home/secret", b"s", &Cred::ROOT)
             .unwrap();
-        k.vfs_mut()
+        k.vfs()
             .chmod(root, "/home/secret", 0o600, &Cred::ROOT)
             .unwrap();
         assert_eq!(
@@ -1139,7 +1138,7 @@ mod tests {
 
     #[test]
     fn exec_needs_x_right() {
-        let (mut k, pid, mut pol) = setup();
+        let (k, pid, mut pol) = setup();
         // Fred has FULL (includes x): allowed.
         assert_eq!(
             pol.check(&k, pid, &Syscall::Exec("/box/sim.exe".into())),
@@ -1153,7 +1152,7 @@ mod tests {
             "globus:/O=UnivNowhere/CN=Fred",
             Rights::READ | Rights::WRITE | Rights::LIST,
         )]);
-        aclfs::write_acl(k.vfs_mut(), dir, &acl, &sup).unwrap();
+        aclfs::write_acl(k.vfs(), dir, &acl, &sup).unwrap();
         assert_eq!(
             pol.check(&k, pid, &Syscall::Exec("/box/sim.exe".into())),
             PolicyDecision::Deny(Errno::EACCES)
@@ -1175,17 +1174,17 @@ mod tests {
 
     #[test]
     fn cached_mode_fails_closed_like_uncached() {
-        let (mut k, pid, _) = setup();
+        let (k, pid, _) = setup();
         let root = k.vfs().root();
         // A directory the supervisor itself cannot search (group 1000
         // gets no bits) but `nobody` could (world rwx): the supervisor's
         // ACL lookup fails with EACCES, not ENOENT. Falling back to the
         // Unix-as-nobody rule here would *grant* access on a lookup
         // error — both cache modes must deny instead.
-        k.vfs_mut()
+        k.vfs()
             .mkdir(root, "/box/odd", 0o707, &Cred::ROOT)
             .unwrap();
-        k.vfs_mut()
+        k.vfs()
             .chown(root, "/box/odd", 0, 1000, &Cred::ROOT)
             .unwrap();
         let sup = Cred::new(1000, 1000);
@@ -1203,7 +1202,7 @@ mod tests {
 
     #[test]
     fn unlinking_acl_file_invalidates_cached_verdict() {
-        let (mut k, pid, _) = setup();
+        let (k, pid, _) = setup();
         let sup = Cred::new(1000, 1000);
         let fred = Identity::new("globus:/O=UnivNowhere/CN=Fred");
         let mut pol = IdentityBoxPolicy::new(fred, sup, "/box/.passwd", true);
@@ -1216,7 +1215,7 @@ mod tests {
             pol.check(&k, pid, &Syscall::Unlink("/box/.__acl".into())),
             PolicyDecision::Allow
         );
-        k.syscall(pid, Syscall::Unlink("/box/.__acl".into())).unwrap();
+        k.syscall_shared(pid, Syscall::Unlink("/box/.__acl".into())).unwrap();
         // The unlink bumped the change generation: the cached ACL
         // verdict is dead, and /box now rules as Unix-as-nobody — the
         // missing file is no longer readable by grace of a stale FULL.
@@ -1230,7 +1229,7 @@ mod tests {
         let root = k.vfs().root();
         let dir = k.vfs().resolve(root, "/box", true, &sup).unwrap();
         let acl = Acl::from_entries([AclEntry::new("someone-else", Rights::FULL)]);
-        aclfs::write_acl(k.vfs_mut(), dir, &acl, &sup).unwrap();
+        aclfs::write_acl(k.vfs(), dir, &acl, &sup).unwrap();
         assert_eq!(
             pol.check(&k, pid, &open_r("/box/a")),
             PolicyDecision::Deny(Errno::EACCES),
@@ -1240,7 +1239,7 @@ mod tests {
 
     #[test]
     fn renaming_acl_file_invalidates_cached_verdict() {
-        let (mut k, pid, _) = setup();
+        let (k, pid, _) = setup();
         let sup = Cred::new(1000, 1000);
         let fred = Identity::new("globus:/O=UnivNowhere/CN=Fred");
         let mut pol = IdentityBoxPolicy::new(fred, sup, "/box/.passwd", true);
@@ -1249,7 +1248,7 @@ mod tests {
         // not leave the old verdict behind.
         let mv = Syscall::Rename("/box/.__acl".into(), "/box/plain".into());
         assert_eq!(pol.check(&k, pid, &mv), PolicyDecision::Allow);
-        k.syscall(pid, mv).unwrap();
+        k.syscall_shared(pid, mv).unwrap();
         assert_eq!(
             pol.check(&k, pid, &open_r("/box/a")),
             PolicyDecision::Deny(Errno::EACCES),
@@ -1259,7 +1258,7 @@ mod tests {
 
     #[test]
     fn acl_cache_is_bounded() {
-        let (mut k, pid, _) = setup();
+        let (k, pid, _) = setup();
         let sup = Cred::new(1000, 1000);
         let root = k.vfs().root();
         let fred = Identity::new("globus:/O=UnivNowhere/CN=Fred");
@@ -1267,10 +1266,10 @@ mod tests {
         let n = super::ACL_CACHE_CAP + 32;
         for i in 0..n {
             let d = k
-                .vfs_mut()
+                .vfs()
                 .mkdir(root, &format!("/box/d{i}"), 0o755, &sup)
                 .unwrap();
-            aclfs::write_acl(k.vfs_mut(), d, &acl, &sup).unwrap();
+            aclfs::write_acl(k.vfs(), d, &acl, &sup).unwrap();
         }
         let mut pol = IdentityBoxPolicy::new(fred, sup, "/box/.passwd", true);
         for i in 0..n {
@@ -1326,7 +1325,7 @@ mod tests {
 
     #[test]
     fn acl_cache_hits_and_invalidates() {
-        let (mut k, pid, _) = setup();
+        let (k, pid, _) = setup();
         let sup = Cred::new(1000, 1000);
         let fred = Identity::new("globus:/O=UnivNowhere/CN=Fred");
         let mut pol = IdentityBoxPolicy::new(fred.clone(), sup, "/box/.passwd", true);
@@ -1342,7 +1341,7 @@ mod tests {
         let root = k.vfs().root();
         let dir = k.vfs().resolve(root, "/box", true, &sup).unwrap();
         let acl = Acl::from_entries([AclEntry::new("someone-else", Rights::FULL)]);
-        aclfs::write_acl(k.vfs_mut(), dir, &acl, &sup).unwrap();
+        aclfs::write_acl(k.vfs(), dir, &acl, &sup).unwrap();
         assert_eq!(
             pol.check(&k, pid, &open_r("/box/c")),
             PolicyDecision::Deny(Errno::EACCES)
@@ -1379,7 +1378,7 @@ mod tests {
 
     #[test]
     fn audit_ring_records_allow_and_reserve_amplification() {
-        let (mut k, pid, mut pol) = setup();
+        let (k, pid, mut pol) = setup();
         let ring = Arc::new(AuditRing::default());
         pol.use_audit(Arc::clone(&ring));
         assert_eq!(pol.check(&k, pid, &open_r("/box/x")), PolicyDecision::Allow);
@@ -1389,7 +1388,7 @@ mod tests {
         let dir = k.vfs().resolve(root, "/box", true, &sup).unwrap();
         let mut acl = Acl::empty();
         acl.set_reserve("globus:/O=UnivNowhere/*", Rights::NONE, Rights::RWLAX);
-        aclfs::write_acl(k.vfs_mut(), dir, &acl, &sup).unwrap();
+        aclfs::write_acl(k.vfs(), dir, &acl, &sup).unwrap();
         assert_eq!(
             pol.check(&k, pid, &Syscall::Mkdir("/box/mine".into(), 0o755)),
             PolicyDecision::Allow

@@ -113,16 +113,16 @@ proptest! {
         k.accounts_mut().add(Account::new("dthain", 1000, 1000)).unwrap();
         let sup = Cred::new(1000, 1000);
         let root = k.vfs().root();
-        k.vfs_mut().mkdir(root, "/w", 0o755, &Cred::ROOT).unwrap();
-        k.vfs_mut().chown(root, "/w", 1000, 1000, &Cred::ROOT).unwrap();
+        k.vfs().mkdir(root, "/w", 0o755, &Cred::ROOT).unwrap();
+        k.vfs().chown(root, "/w", 1000, 1000, &Cred::ROOT).unwrap();
         for d in 0..NDIRS {
-            let dir = k.vfs_mut().mkdir(root, &dir_path(d), 0o755, &sup).unwrap();
-            write_acl(k.vfs_mut(), dir, &acl_variant(0), &sup).unwrap();
-            k.vfs_mut()
+            let dir = k.vfs().mkdir(root, &dir_path(d), 0o755, &sup).unwrap();
+            write_acl(k.vfs(), dir, &acl_variant(0), &sup).unwrap();
+            k.vfs()
                 .write_file(root, &format!("{}/file", dir_path(d)), b"x", &sup)
                 .unwrap();
         }
-        k.vfs_mut().write_file(root, "/w/.passwd", b"fred:x::\n", &sup).unwrap();
+        k.vfs().write_file(root, "/w/.passwd", b"fred:x::\n", &sup).unwrap();
         let pid = k.spawn(sup, "/w", "prop").unwrap();
         let fred = Identity::new("globus:/O=UnivNowhere/CN=Fred");
         k.set_identity(pid, fred.clone()).unwrap();
@@ -147,7 +147,7 @@ proptest! {
                         .vfs()
                         .resolve(root, &dir_path(d), true, &Cred::ROOT)
                         .unwrap();
-                    write_acl(k.vfs_mut(), dir, &acl_variant(v), &Cred::ROOT).unwrap();
+                    write_acl(k.vfs(), dir, &acl_variant(v), &Cred::ROOT).unwrap();
                 }
                 Op::DropAcl(d) => {
                     let dir = k
@@ -155,14 +155,14 @@ proptest! {
                         .resolve(root, &dir_path(d), true, &Cred::ROOT)
                         .unwrap();
                     let _ = k
-                        .vfs_mut()
+                        .vfs()
                         .unlink(dir, idbox_types::ACL_FILE_NAME, &Cred::ROOT);
                 }
                 Op::Chmod(d, mode) => {
                     let path = dir_path(d);
                     let (uid, gid) = if mode == 0o707 { (0, 1000) } else { (1000, 1000) };
-                    k.vfs_mut().chown(root, &path, uid, gid, &Cred::ROOT).unwrap();
-                    k.vfs_mut().chmod(root, &path, mode, &Cred::ROOT).unwrap();
+                    k.vfs().chown(root, &path, uid, gid, &Cred::ROOT).unwrap();
+                    k.vfs().chmod(root, &path, mode, &Cred::ROOT).unwrap();
                 }
                 Op::RenameAcl(d, away) => {
                     let dir = dir_path(d);
@@ -170,23 +170,23 @@ proptest! {
                     let plain = format!("{dir}/was_acl");
                     let (from, to) = if away { (acl, plain) } else { (plain, acl) };
                     // Fails cleanly when the source is absent.
-                    let _ = k.vfs_mut().rename(root, &from, &to, &Cred::ROOT);
+                    let _ = k.vfs().rename(root, &from, &to, &Cred::ROOT);
                 }
                 Op::Subdir(d, mk) => {
                     let sub = format!("{}/sub", dir_path(d));
                     if mk {
-                        let _ = k.vfs_mut().mkdir(root, &sub, 0o755, &Cred::ROOT);
+                        let _ = k.vfs().mkdir(root, &sub, 0o755, &Cred::ROOT);
                     } else {
-                        let _ = k.vfs_mut().rmdir(root, &sub, &Cred::ROOT);
+                        let _ = k.vfs().rmdir(root, &sub, &Cred::ROOT);
                     }
                 }
                 Op::SymlinkAt(a, b, mk) => {
                     let ln = format!("{}/ln", dir_path(a));
                     if mk {
                         let target = format!("{}/file", dir_path(b));
-                        let _ = k.vfs_mut().symlink(root, &target, &ln, &Cred::ROOT);
+                        let _ = k.vfs().symlink(root, &target, &ln, &Cred::ROOT);
                     } else {
-                        let _ = k.vfs_mut().unlink(root, &ln, &Cred::ROOT);
+                        let _ = k.vfs().unlink(root, &ln, &Cred::ROOT);
                     }
                 }
             }

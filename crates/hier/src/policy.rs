@@ -110,9 +110,8 @@ mod tests {
         domain: &HierId,
         comm: &str,
     ) -> Pid {
-        let k = kernel.lock();
-        let pid = k.spawn(Cred::new(1000, 1000), "/tmp", comm).unwrap();
-        k.set_identity(pid, domain.to_identity()).unwrap();
+        let pid = kernel.spawn(Cred::new(1000, 1000), "/tmp", comm).unwrap();
+        kernel.set_identity(pid, domain.to_identity()).unwrap();
         tree.lock().assign(pid, domain.clone()).unwrap();
         pid
     }
@@ -138,20 +137,20 @@ mod tests {
 
         let mut parent_pol = policy_for(&dthain, &tree);
         let mut child_pol = policy_for(&visitor, &tree);
-        let k = kernel.lock();
+        let k = &*kernel;
         // dthain may signal down into the visitor domain.
         assert_eq!(
-            parent_pol.check(&k, dthain_pid, &Syscall::Kill(visitor_pid, Signal::Term)),
+            parent_pol.check(k, dthain_pid, &Syscall::Kill(visitor_pid, Signal::Term)),
             PolicyDecision::Allow
         );
         // The visitor may not signal up.
         assert_eq!(
-            child_pol.check(&k, visitor_pid, &Syscall::Kill(dthain_pid, Signal::Term)),
+            child_pol.check(k, visitor_pid, &Syscall::Kill(dthain_pid, Signal::Term)),
             PolicyDecision::Deny(Errno::EPERM)
         );
         // The visitor may signal within its own domain.
         assert_eq!(
-            child_pol.check(&k, visitor_pid, &Syscall::Kill(visitor_pid, Signal::Usr1)),
+            child_pol.check(k, visitor_pid, &Syscall::Kill(visitor_pid, Signal::Usr1)),
             PolicyDecision::Allow
         );
     }
@@ -162,9 +161,9 @@ mod tests {
         let v_pid = spawn_in(&kernel, &tree, &visitor, "v");
         let s_pid = spawn_in(&kernel, &tree, &service, "s");
         let mut v_pol = policy_for(&visitor, &tree);
-        let k = kernel.lock();
+        let k = &*kernel;
         assert_eq!(
-            v_pol.check(&k, v_pid, &Syscall::Kill(s_pid, Signal::Term)),
+            v_pol.check(k, v_pid, &Syscall::Kill(s_pid, Signal::Term)),
             PolicyDecision::Deny(Errno::EPERM)
         );
     }
@@ -209,12 +208,12 @@ mod tests {
         let (kernel, tree, _, visitor, _) = setup();
         let pid = spawn_in(&kernel, &tree, &visitor, "v");
         {
-            let mut k = kernel.lock();
+            let k = &*kernel;
             let root = k.vfs().root();
-            k.vfs_mut()
+            k.vfs()
                 .write_file(root, "/home/private", b"x", &Cred::ROOT)
                 .unwrap();
-            k.vfs_mut()
+            k.vfs()
                 .chmod(root, "/home/private", 0o600, &Cred::ROOT)
                 .unwrap();
         }

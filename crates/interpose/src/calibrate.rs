@@ -27,7 +27,6 @@ const BATCH: u32 = 20_000;
 fn measure_getpid(interposed: Option<CostModel>) -> f64 {
     let kernel = share(Kernel::new());
     let pid = kernel
-        .lock()
         .spawn(Cred::ROOT, "/tmp", "calibrate")
         .expect("spawn");
     let mut sup = match interposed {

@@ -7,7 +7,7 @@ use crate::trace::TraceSink;
 use crate::vm::{reg, TraceeVm};
 use crate::{SharedKernel, SMALL_IO_MAX};
 use idbox_kernel::{ExtentList, LatencyStats, OpenFlags, Pid, Signal, Syscall, SysRet};
-use idbox_obs::{IdentityCounters, Phase, SlowOpLog, Span, TraceCell};
+use idbox_obs::{observe_span, IdentityCounters, Phase, SlowOpLog, TraceCell};
 use idbox_types::{CostModel, Errno, SwitchEngine, SysResult, TrapCostReport};
 use idbox_vfs::Access;
 use std::sync::Arc;
@@ -78,7 +78,7 @@ pub struct Supervisor {
     trace: Option<TraceSink>,
     /// Latency-histogram handle cloned out of the kernel at
     /// construction, so dispatch timings are recorded without taking
-    /// either side of the kernel lock.
+    /// any kernel lock.
     latency: Arc<LatencyStats>,
     /// Per-identity accounting + slow-op spans, when a box attached
     /// them. All hooks are atomics bumped through `&self` — nothing
@@ -94,7 +94,7 @@ pub struct Supervisor {
 impl Supervisor {
     /// A baseline supervisor: system calls go straight to the kernel.
     pub fn direct(kernel: SharedKernel) -> Self {
-        let latency = Arc::clone(kernel.read().latency());
+        let latency = Arc::clone(kernel.latency());
         Supervisor {
             kernel,
             mode: ExecMode::Direct,
@@ -112,7 +112,7 @@ impl Supervisor {
     /// call, but at native cost — what Section 9 argues future operating
     /// systems should provide.
     pub fn in_kernel(kernel: SharedKernel, policy: Box<dyn SyscallPolicy>) -> Self {
-        let latency = Arc::clone(kernel.read().latency());
+        let latency = Arc::clone(kernel.latency());
         Supervisor {
             kernel,
             mode: ExecMode::InKernel,
@@ -132,7 +132,7 @@ impl Supervisor {
         policy: Box<dyn SyscallPolicy>,
         model: CostModel,
     ) -> Self {
-        let latency = Arc::clone(kernel.read().latency());
+        let latency = Arc::clone(kernel.latency());
         Supervisor {
             kernel,
             mode: ExecMode::Interposed,
@@ -249,11 +249,11 @@ impl Supervisor {
     }
 
     /// Kernel dispatch without a policy: every call — mutating ones
-    /// included — runs under the *shared* side of the structure lock;
-    /// the kernel's internal shard locks provide the mutual exclusion.
+    /// included — runs through the shared `&Kernel`; the kernel's
+    /// internal shard locks provide the mutual exclusion.
     fn dispatch_plain(&mut self, pid: Pid, call: &Syscall) -> SysResult<SysRet> {
         let t0 = Instant::now();
-        let result = self.kernel.read().syscall_shared(pid, call.clone());
+        let result = self.kernel.syscall_shared(pid, call.clone());
         let nanos = t0.elapsed().as_nanos() as u64;
         self.latency.record(call, nanos);
         self.observe_dispatch(call, &result, nanos);
@@ -264,10 +264,10 @@ impl Supervisor {
     ///
     /// The whole sequence — policy check, kernel entry, post-processing,
     /// and (with `nullify`) the nullified `getpid` that really enters
-    /// the kernel (Figure 4(a), steps 4-5) — runs under one *shared*
-    /// guard of the structure lock. Concurrent supervisors therefore
-    /// never serialize here; any contention happens inside the kernel,
-    /// on the shard locks of the state the calls actually touch.
+    /// the kernel (Figure 4(a), steps 4-5) — runs through the shared
+    /// `&Kernel` and takes no lock of its own. Concurrent supervisors
+    /// therefore never serialize here; any contention happens inside the
+    /// kernel, on the shard locks of the state the calls actually touch.
     ///
     /// Dispatch is timed into the kernel's latency histograms: the clock
     /// covers the policy ruling plus the kernel entry, i.e. what the
@@ -302,39 +302,14 @@ impl Supervisor {
                 _ => {}
             }
         }
-        Self::observe_span(obs, Phase::Dispatch, call.name(), nanos);
-    }
-
-    /// Record one phase span: into the flight recorder when the
-    /// request is traced (every span, so a tracedump shows the whole
-    /// request), and into the slow-op ring if it is slow enough.
-    fn observe_span(obs: &ObsHooks, phase: Phase, name: &str, nanos: u64) {
-        let trace = obs.trace.get();
-        if trace.is_some() {
-            let plane = match phase {
-                Phase::Rpc => "rpc",
-                Phase::Policy => "policy",
-                Phase::Dispatch => "dispatch",
-                Phase::Exec => "exec",
-            };
-            idbox_obs::flight::record_span(
-                plane,
-                name,
-                trace,
-                idbox_obs::now_unix_ns().saturating_sub(nanos),
-                nanos,
-            );
-        }
-        if nanos >= obs.slow_ops.threshold_ns() {
-            obs.slow_ops.record(Span {
-                trace: obs.trace.get(),
-                phase,
-                name: name.to_string(),
-                identity: obs.identity.clone(),
-                start_ns: idbox_obs::now_unix_ns().saturating_sub(nanos),
-                dur_ns: nanos,
-            });
-        }
+        observe_span(
+            &obs.slow_ops,
+            obs.trace.get(),
+            Phase::Dispatch,
+            call.name(),
+            &obs.identity,
+            nanos,
+        );
     }
 
     fn dispatch_policed_inner(
@@ -343,18 +318,25 @@ impl Supervisor {
         call: &Syscall,
         nullify: bool,
     ) -> SysResult<SysRet> {
-        let kernel = self.kernel.read();
+        let kernel = &*self.kernel;
         let p0 = Instant::now();
-        let decision = self.policy.check(&kernel, pid, call);
+        let decision = self.policy.check(kernel, pid, call);
         if let Some(obs) = &self.obs {
-            Self::observe_span(obs, Phase::Policy, call.name(), p0.elapsed().as_nanos() as u64);
+            observe_span(
+                &obs.slow_ops,
+                obs.trace.get(),
+                Phase::Policy,
+                call.name(),
+                &obs.identity,
+                p0.elapsed().as_nanos() as u64,
+            );
         }
         let mut result = match decision {
             PolicyDecision::Allow => kernel.syscall_shared(pid, call.clone()),
             PolicyDecision::Rewrite(replacement) => kernel.syscall_shared(pid, replacement),
             PolicyDecision::Deny(errno) => Err(errno),
         };
-        self.policy.post(&kernel, pid, call, &mut result);
+        self.policy.post(kernel, pid, call, &mut result);
         if nullify {
             let _ = kernel.null_syscall(pid);
         }
@@ -389,8 +371,7 @@ impl Supervisor {
         // Step 3: the supervisor implements the action itself, after the
         // policy (the identity box) has ruled on it. Steps 4-5 happen
         // inside the dispatcher: the original call is nullified into a
-        // getpid() that really enters the kernel — under whichever side
-        // of the kernel lock the call was served on.
+        // getpid() that really enters the kernel.
         let result = self.dispatch_policed(pid, &call, true);
         if let Some(trace) = &self.trace {
             trace.record(pid, &call, &result);

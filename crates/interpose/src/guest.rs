@@ -503,7 +503,6 @@ mod tests {
     fn setup(mode_interposed: bool) -> (Supervisor, Pid) {
         let kernel = share(Kernel::new());
         let pid = kernel
-            .lock()
             .spawn(Cred::ROOT, "/tmp", "test")
             .expect("spawn");
         let sup = if mode_interposed {

@@ -46,28 +46,23 @@ pub use trace::{TraceRecord, TraceSink};
 pub use vm::TraceeVm;
 
 use idbox_kernel::Kernel;
-use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// The kernel handle shared between supervisors (and, in the distributed
 /// system, server threads).
 ///
-/// Since the kernel became internally sharded, this outer lock is a
-/// rarely-written **structure lock**, not the syscall serialization
-/// point: *every* system call — mutating ones included — dispatches
-/// under the shared side via [`Kernel::syscall_shared`], and the
-/// kernel's own per-domain locks (vfs inode shards, process-table
-/// shards, the pipe and mount tables) provide mutual exclusion where
-/// state actually collides. The exclusive side (`write()`, or the
-/// `lock()` alias) is reserved for structural surgery that genuinely
-/// needs `&mut Kernel` — mounting drivers, installing fault hooks,
-/// swapping the dentry cache, editing accounts — which happens at
-/// setup/admin time, not per call.
-pub type SharedKernel = Arc<RwLock<Kernel>>;
+/// The kernel is built as an owned value, configured through its `&mut`
+/// builder calls (`vfs_mut`, `accounts_mut`), and then shared. Every
+/// method a shared kernel offers takes `&self`: system calls dispatch
+/// through [`Kernel::syscall_shared`], and the kernel's own per-domain
+/// locks (vfs inode shards, process-table shards, the pipe, mount and
+/// account tables) provide mutual exclusion where state actually
+/// collides.
+pub type SharedKernel = Arc<Kernel>;
 
-/// Wrap a kernel for sharing.
+/// Wrap a configured kernel for sharing.
 pub fn share(kernel: Kernel) -> SharedKernel {
-    Arc::new(RwLock::new(kernel))
+    Arc::new(kernel)
 }
 
 /// Payloads at or below this size move word-by-word through peek/poke;

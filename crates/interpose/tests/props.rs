@@ -74,7 +74,7 @@ fn apply(ctx: &mut GuestCtx<'_>, op: &Op) -> String {
 
 fn fresh(mode_interposed: bool) -> (Supervisor, Pid) {
     let kernel = share(Kernel::new());
-    let pid = kernel.lock().spawn(Cred::ROOT, "/tmp", "prop").unwrap();
+    let pid = kernel.spawn(Cred::ROOT, "/tmp", "prop").unwrap();
     let sup = if mode_interposed {
         Supervisor::interposed(kernel, Box::new(AllowAll), CostModel::free_switches())
     } else {
@@ -134,9 +134,9 @@ proptest! {
         let (mut d_sup, d_pid) = fresh(false);
         let mut _d_ctx = GuestCtx::new(&mut d_sup, d_pid);
         let kernel = sup.kernel().clone();
-        let mut k = kernel.lock();
+        let k = &*kernel;
         let root = k.vfs().root();
-        let whole = k.vfs_mut().read_file(root, "/tmp/fidelity", &Cred::ROOT).unwrap();
+        let whole = k.vfs().read_file(root, "/tmp/fidelity", &Cred::ROOT).unwrap();
         prop_assert_eq!(&whole[offset as usize..], &data[..]);
     }
 
@@ -145,13 +145,13 @@ proptest! {
     #[test]
     fn trap_count_matches_syscalls(ops in proptest::collection::vec(op(), 1..15)) {
         let (mut sup, pid) = fresh(true);
-        let before_kernel = sup.kernel().lock().total_syscalls();
+        let before_kernel = sup.kernel().total_syscalls();
         let mut ctx = GuestCtx::new(&mut sup, pid);
         for op in &ops {
             let _ = apply(&mut ctx, op);
         }
         let report = sup.cost_report();
-        let kernel_calls = sup.kernel().lock().total_syscalls() - before_kernel;
+        let kernel_calls = sup.kernel().total_syscalls() - before_kernel;
         prop_assert_eq!(report.traps, kernel_calls, "every kernel entry is a trap");
         prop_assert_eq!(report.switches, report.traps * 6);
     }

@@ -2,12 +2,8 @@
 //!
 //! # Concurrency model: sharded syscall domains
 //!
-//! The kernel used to be one monolithic struct behind a single
-//! `Arc<RwLock<Kernel>>`: every mutating syscall from every boxed
-//! connection serialized on that lock, which flat-lined server throughput
-//! as clients were added. The state is now split into independently
-//! locked **domains**, so two identities touching disjoint state never
-//! contend:
+//! The kernel's state is split into independently locked **domains**,
+//! so two identities touching disjoint state never contend:
 //!
 //! * **vfs** — internally sharded by inode number (see `idbox_vfs::Vfs`);
 //!   every operation takes `&self` and locks only the shards it touches.
@@ -16,13 +12,18 @@
 //!   operations lock only that process's shard.
 //! * **pipes** — a slot table behind one mutex, with generation-tagged
 //!   slots (see [`FileBacking::Pipe`]).
-//! * **accounts** — an `RwLock` (reads vastly outnumber admin writes).
+//! * **accounts** — an `RwLock` (reads vastly outnumber admin writes);
+//!   account changes and their WAL records happen under its write guard.
 //! * **mounts** — a mutex around the mount table; driver calls serialize
 //!   per-kernel (drivers model remote I/O and were serialized before).
 //!
-//! Dispatch goes through [`Kernel::syscall_shared`], which needs only
-//! `&self`: supervisors share one kernel behind an `Arc` (or the
-//! read-side of the legacy `RwLock`) and run syscalls concurrently.
+//! A kernel is built as an owned value, configured through its few
+//! `&mut` builder calls ([`Kernel::vfs_mut`], [`Kernel::accounts_mut`]),
+//! and then shared behind an `Arc`. Everything after that takes `&self`:
+//! dispatch goes through [`Kernel::syscall_shared`], and the admin
+//! mutations ([`Kernel::account_add`], [`Kernel::mount`], the vfs fault
+//! hook) go through locks the domains already have, so supervisors run
+//! syscalls concurrently with no kernel-wide lock.
 //!
 //! ## Lock ordering
 //!
@@ -40,8 +41,14 @@
 //!    bookkeeping, never while acquiring any other lock. (Its liveness
 //!    probe reads a process shard *between* reservations, not under the
 //!    allocator lock.)
-//! 4. `vfs`, `pipes`, `mounts`, and `accounts` locks are never held
-//!    while acquiring one another; calls into each domain are sequenced.
+//! 4. `vfs`, `pipes`, and `mounts` locks are never held while acquiring
+//!    one another; calls into each domain are sequenced. The
+//!    **accounts** lock sits above the vfs: [`Kernel::wal_snapshot`] and
+//!    [`Kernel::sync_passwd_file`] hold its read guard while taking vfs
+//!    shard locks, and account changes hold its write guard while
+//!    appending to the WAL. Nothing holding a process, vfs, pipe, or
+//!    mount lock takes the accounts lock, so the edge is one-way:
+//!    `accounts → vfs → WAL`.
 //! 5. The write-ahead log's internal mutex (durability; see
 //!    `idbox_vfs::wal`) is a leaf below the vfs shard locks: the vfs
 //!    appends while holding shard write locks, and nothing acquired
@@ -340,8 +347,8 @@ impl Kernel {
         &self.vfs
     }
 
-    /// Mutably borrow the filesystem (needed only for structural knobs
-    /// such as `set_dentry_cache` / `set_fault_hook`).
+    /// Mutably borrow the filesystem to configure it before the kernel
+    /// is shared (`set_dentry_cache`, `set_chunk_size`, `set_wal`).
     pub fn vfs_mut(&mut self) -> &mut Vfs {
         &mut self.vfs
     }
@@ -352,39 +359,58 @@ impl Kernel {
         self.accounts.read()
     }
 
-    /// Mutably borrow the account database (administrative action).
+    /// Mutably borrow the account database before the kernel is
+    /// shared. Changes made here are not logged to the WAL.
     pub fn accounts_mut(&mut self) -> &mut AccountDb {
         self.accounts.get_mut()
     }
 
-    /// Rewrite `/etc/passwd` from the account database.
+    /// Rewrite `/etc/passwd` from the account database. The file is
+    /// written under the accounts read guard, so no account change can
+    /// land between reading the database and writing the file: two
+    /// concurrent rewrites write the same text.
     pub fn sync_passwd_file(&self) {
-        let text = self.accounts.read().passwd_file();
+        let db = self.accounts.read();
         let root = self.vfs.root();
         self.vfs
-            .write_file(root, "/etc/passwd", text.as_bytes(), &Cred::ROOT)
+            .write_file(root, "/etc/passwd", db.passwd_file().as_bytes(), &Cred::ROOT)
             .expect("passwd file is always writable by root");
     }
 
     /// Add an account, logging it to the WAL when one is attached. Use
-    /// this (not `accounts_mut().add(..)` directly) for any account
-    /// creation that must survive a restart. Exclusive access (`&mut
-    /// self`) orders the database change and its log record against
-    /// concurrent snapshots, which hold the shared side of the kernel
-    /// lock.
-    pub fn account_add(&mut self, account: Account) -> SysResult<()> {
-        let line = account.passwd_line();
-        self.accounts.get_mut().add(account)?;
+    /// this (not `accounts_mut().add(..)`) for any account creation
+    /// that must survive a restart.
+    pub fn account_add(&self, account: Account) -> SysResult<()> {
+        self.account_add_with(|_| account).map(drop)
+    }
+
+    /// Build an account from the database under its write guard (e.g.
+    /// to allocate `next_free_uid`) and add it, logging it to the WAL
+    /// when one is attached. Returns a copy of the added account.
+    ///
+    /// The record is appended before the guard is released, so against
+    /// [`Kernel::wal_snapshot`] (which holds the read guard across its
+    /// log cut) the account lands either in the snapshot's account blob
+    /// or in the log after the snapshot's watermark.
+    pub fn account_add_with(
+        &self,
+        make: impl FnOnce(&mut AccountDb) -> Account,
+    ) -> SysResult<Account> {
+        let mut db = self.accounts.write();
+        let account = make(&mut db);
+        db.add(account.clone())?;
         if let Some(wal) = self.vfs.wal() {
-            wal.append(WalRecordRef::AccountAdd { line: &line });
+            wal.append(WalRecordRef::AccountAdd { line: &account.passwd_line() });
         }
-        Ok(())
+        Ok(account)
     }
 
     /// Remove an account by name, logging it to the WAL when one is
     /// attached (the durable counterpart of `accounts_mut().remove(..)`).
-    pub fn account_remove(&mut self, name: &str) -> SysResult<Account> {
-        let removed = self.accounts.get_mut().remove(name)?;
+    /// Ordered against snapshots like [`Kernel::account_add_with`].
+    pub fn account_remove(&self, name: &str) -> SysResult<Account> {
+        let mut db = self.accounts.write();
+        let removed = db.remove(name)?;
         if let Some(wal) = self.vfs.wal() {
             wal.append(WalRecordRef::AccountRemove { name });
         }
@@ -397,25 +423,35 @@ impl Kernel {
     ///
     /// Safe against concurrent syscalls: the namespace is serialized
     /// under every vfs shard read lock, at a log rotation point captured
-    /// under those same locks. The account blob is captured just before
-    /// — account *mutations* go through `&mut self`
-    /// ([`Kernel::account_add`] / [`Kernel::account_remove`]), so a
-    /// shared borrow cannot race one, and reads of the blob stay
-    /// consistent with the rotation.
+    /// under those same locks. The accounts read guard is held from the
+    /// account blob's capture until after that cut, and account changes
+    /// log their record under the write guard, so every account change
+    /// is either in the blob or logged after the watermark.
     pub fn wal_snapshot(&self) -> std::io::Result<Option<u64>> {
         let Some(wal) = self.vfs.wal().cloned() else {
             return Ok(None);
         };
-        let accounts_blob = self.accounts.read().to_blob();
+        let accounts = self.accounts.read();
+        let accounts_blob = accounts.to_blob();
         let (vfs_blob, watermark) = self.vfs.snapshot_cut()?;
+        drop(accounts);
         wal.install_snapshot(watermark, &vfs_blob, &accounts_blob)?;
         Ok(Some(watermark))
     }
 
     /// Mount a filesystem driver under a path prefix. Returns the mount
     /// index.
-    pub fn mount(&mut self, prefix: impl Into<String>, driver: Box<dyn FsDriver>) -> usize {
-        self.mounts.get_mut().mount(prefix, driver)
+    pub fn mount(&self, prefix: impl Into<String>, driver: Box<dyn FsDriver>) -> usize {
+        self.mounts.lock().mount(prefix, driver)
+    }
+
+    /// The kernel itself. Kept only so code written when the shared
+    /// handle was a reader/writer lock (`kernel.read().vfs()`) still
+    /// compiles; call the kernel directly instead.
+    #[deprecated(note = "`SharedKernel` is an `Arc<Kernel>`; call the kernel directly")]
+    #[doc(hidden)]
+    pub fn read(&self) -> &Kernel {
+        self
     }
 
     /// Shrink the pid space to `[2, max]` (testing knob: makes wrap and
@@ -621,15 +657,6 @@ impl Kernel {
     // The trapped interface
     // ------------------------------------------------------------------
 
-    /// Dispatch one system call on behalf of `pid` (exclusive borrow).
-    ///
-    /// A compatibility shim over [`Kernel::syscall_shared`]: every call
-    /// is dispatched through the shared-borrow path, so the two entry
-    /// points are byte-identical in behavior.
-    pub fn syscall(&mut self, pid: Pid, call: Syscall) -> SysResult<SysRet> {
-        self.syscall_shared(pid, call)
-    }
-
     /// Dispatch one system call on behalf of `pid` through a **shared**
     /// borrow. This is the concurrent path: each syscall locks only the
     /// domains (and shards) it touches, so supervisors on different
@@ -637,17 +664,6 @@ impl Kernel {
     pub fn syscall_shared(&self, pid: Pid, call: Syscall) -> SysResult<SysRet> {
         self.stats.bump(&call);
         self.dispatch(pid, call)
-    }
-
-    /// Dispatch a call through a shared borrow, by reference.
-    ///
-    /// Always `Some`: since the kernel went sharded, *every* call —
-    /// mutating ones included — is servable without `&mut self`. The
-    /// `Option` return survives for callers written against the old
-    /// read-path contract (where `None` meant "take the exclusive
-    /// path").
-    pub fn syscall_read(&self, pid: Pid, call: &Syscall) -> Option<SysResult<SysRet>> {
-        Some(self.syscall_shared(pid, call.clone()))
     }
 
     /// The single dispatcher: every call through `&self`.
@@ -1573,172 +1589,172 @@ mod tests {
 
     #[test]
     fn boot_layout() {
-        let mut k = Kernel::new();
+        let k = Kernel::new();
         let pid = k.spawn(Cred::ROOT, "/", "probe").unwrap();
         for dir in ["/etc", "/home", "/tmp", "/root", "/bin"] {
-            let st = k.syscall(pid, Syscall::Stat(dir.into())).unwrap();
+            let st = k.syscall_shared(pid, Syscall::Stat(dir.into())).unwrap();
             match st {
                 SysRet::Stat(s) => assert!(s.is_dir(), "{dir} should be a dir"),
                 other => panic!("unexpected {other:?}"),
             }
         }
-        let passwd = k.syscall(pid, Syscall::Stat("/etc/passwd".into())).unwrap();
+        let passwd = k.syscall_shared(pid, Syscall::Stat("/etc/passwd".into())).unwrap();
         assert!(matches!(passwd, SysRet::Stat(s) if s.is_file()));
     }
 
     #[test]
     fn open_write_read_close() {
-        let (mut k, pid, _) = kernel_with_user("dthain");
+        let (k, pid, _) = kernel_with_user("dthain");
         let fd = k
-            .syscall(
+            .syscall_shared(
                 pid,
                 Syscall::Open("notes".into(), OpenFlags::wronly_create_trunc(), 0o644),
             )
             .unwrap()
             .num() as usize;
         let n = k
-            .syscall(pid, Syscall::Write(fd, b"hello".to_vec()))
+            .syscall_shared(pid, Syscall::Write(fd, b"hello".to_vec()))
             .unwrap()
             .num();
         assert_eq!(n, 5);
-        k.syscall(pid, Syscall::Close(fd)).unwrap();
+        k.syscall_shared(pid, Syscall::Close(fd)).unwrap();
         let fd = k
-            .syscall(pid, Syscall::Open("notes".into(), OpenFlags::rdonly(), 0))
+            .syscall_shared(pid, Syscall::Open("notes".into(), OpenFlags::rdonly(), 0))
             .unwrap()
             .num() as usize;
-        let data = k.syscall(pid, Syscall::Read(fd, 100)).unwrap();
+        let data = k.syscall_shared(pid, Syscall::Read(fd, 100)).unwrap();
         assert_eq!(data.data(), b"hello");
         // Sequential read advances: next read is empty.
-        let more = k.syscall(pid, Syscall::Read(fd, 100)).unwrap();
+        let more = k.syscall_shared(pid, Syscall::Read(fd, 100)).unwrap();
         assert!(more.data().is_empty());
-        k.syscall(pid, Syscall::Close(fd)).unwrap();
+        k.syscall_shared(pid, Syscall::Close(fd)).unwrap();
     }
 
     #[test]
     fn pread_pwrite_do_not_move_offset() {
-        let (mut k, pid, _) = kernel_with_user("u");
+        let (k, pid, _) = kernel_with_user("u");
         let fd = k
-            .syscall(
+            .syscall_shared(
                 pid,
                 Syscall::Open("f".into(), OpenFlags::rdwr_create(), 0o644),
             )
             .unwrap_or_else(|_| panic!("open"))
             .num() as usize;
-        k.syscall(pid, Syscall::Pwrite(fd, b"abcdef".to_vec(), 0)).unwrap();
-        let d = k.syscall(pid, Syscall::Pread(fd, 3, 2)).unwrap();
+        k.syscall_shared(pid, Syscall::Pwrite(fd, b"abcdef".to_vec(), 0)).unwrap();
+        let d = k.syscall_shared(pid, Syscall::Pread(fd, 3, 2)).unwrap();
         assert_eq!(d.data(), b"cde");
         // Offset still 0: sequential read sees the start.
-        let d = k.syscall(pid, Syscall::Read(fd, 2)).unwrap();
+        let d = k.syscall_shared(pid, Syscall::Read(fd, 2)).unwrap();
         assert_eq!(d.data(), b"ab");
     }
 
     #[test]
     fn append_mode() {
-        let (mut k, pid, _) = kernel_with_user("u");
+        let (k, pid, _) = kernel_with_user("u");
         let fd = k
-            .syscall(
+            .syscall_shared(
                 pid,
                 Syscall::Open("log".into(), OpenFlags::append_create(), 0o644),
             )
             .unwrap()
             .num() as usize;
-        k.syscall(pid, Syscall::Write(fd, b"one".to_vec())).unwrap();
-        k.syscall(pid, Syscall::Write(fd, b"two".to_vec())).unwrap();
-        k.syscall(pid, Syscall::Close(fd)).unwrap();
+        k.syscall_shared(pid, Syscall::Write(fd, b"one".to_vec())).unwrap();
+        k.syscall_shared(pid, Syscall::Write(fd, b"two".to_vec())).unwrap();
+        k.syscall_shared(pid, Syscall::Close(fd)).unwrap();
         let fd = k
-            .syscall(pid, Syscall::Open("log".into(), OpenFlags::rdonly(), 0))
+            .syscall_shared(pid, Syscall::Open("log".into(), OpenFlags::rdonly(), 0))
             .unwrap()
             .num() as usize;
-        let d = k.syscall(pid, Syscall::Read(fd, 100)).unwrap();
+        let d = k.syscall_shared(pid, Syscall::Read(fd, 100)).unwrap();
         assert_eq!(d.data(), b"onetwo");
     }
 
     #[test]
     fn lseek_whences() {
-        let (mut k, pid, _) = kernel_with_user("u");
+        let (k, pid, _) = kernel_with_user("u");
         let fd = k
-            .syscall(
+            .syscall_shared(
                 pid,
                 Syscall::Open("f".into(), OpenFlags::rdwr_create(), 0o644),
             )
             .unwrap()
             .num() as usize;
-        k.syscall(pid, Syscall::Write(fd, b"0123456789".to_vec())).unwrap();
+        k.syscall_shared(pid, Syscall::Write(fd, b"0123456789".to_vec())).unwrap();
         assert_eq!(
-            k.syscall(pid, Syscall::Lseek(fd, 2, Whence::Set)).unwrap().num(),
+            k.syscall_shared(pid, Syscall::Lseek(fd, 2, Whence::Set)).unwrap().num(),
             2
         );
         assert_eq!(
-            k.syscall(pid, Syscall::Lseek(fd, 3, Whence::Cur)).unwrap().num(),
+            k.syscall_shared(pid, Syscall::Lseek(fd, 3, Whence::Cur)).unwrap().num(),
             5
         );
         assert_eq!(
-            k.syscall(pid, Syscall::Lseek(fd, -1, Whence::End)).unwrap().num(),
+            k.syscall_shared(pid, Syscall::Lseek(fd, -1, Whence::End)).unwrap().num(),
             9
         );
         assert_eq!(
-            k.syscall(pid, Syscall::Lseek(fd, -100, Whence::Cur)),
+            k.syscall_shared(pid, Syscall::Lseek(fd, -100, Whence::Cur)),
             Err(Errno::EINVAL)
         );
     }
 
     #[test]
     fn umask_applies_to_create() {
-        let (mut k, pid, _) = kernel_with_user("u");
-        k.syscall(pid, Syscall::Umask(0o077)).unwrap();
+        let (k, pid, _) = kernel_with_user("u");
+        k.syscall_shared(pid, Syscall::Umask(0o077)).unwrap();
         let fd = k
-            .syscall(
+            .syscall_shared(
                 pid,
                 Syscall::Open("f".into(), OpenFlags::wronly_create_trunc(), 0o666),
             )
             .unwrap()
             .num() as usize;
-        k.syscall(pid, Syscall::Close(fd)).unwrap();
-        let st = k.syscall(pid, Syscall::Stat("f".into())).unwrap();
+        k.syscall_shared(pid, Syscall::Close(fd)).unwrap();
+        let st = k.syscall_shared(pid, Syscall::Stat("f".into())).unwrap();
         assert!(matches!(st, SysRet::Stat(s) if s.mode == 0o600));
     }
 
     #[test]
     fn fork_wait_exit() {
-        let (mut k, pid, _) = kernel_with_user("u");
-        let child = Pid(k.syscall(pid, Syscall::Fork).unwrap().num() as u32);
+        let (k, pid, _) = kernel_with_user("u");
+        let child = Pid(k.syscall_shared(pid, Syscall::Fork).unwrap().num() as u32);
         // Child exits 42; parent reaps it.
-        k.syscall(child, Syscall::Exit(42)).unwrap();
-        match k.syscall(pid, Syscall::Wait).unwrap() {
+        k.syscall_shared(child, Syscall::Exit(42)).unwrap();
+        match k.syscall_shared(pid, Syscall::Wait).unwrap() {
             SysRet::Reaped(cpid, code) => {
                 assert_eq!(cpid, child);
                 assert_eq!(code, 42);
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(k.syscall(pid, Syscall::Wait), Err(Errno::ECHILD));
+        assert_eq!(k.syscall_shared(pid, Syscall::Wait), Err(Errno::ECHILD));
     }
 
     #[test]
     fn wait_with_running_child_is_eagain() {
-        let (mut k, pid, _) = kernel_with_user("u");
-        let _child = k.syscall(pid, Syscall::Fork).unwrap().num();
-        assert_eq!(k.syscall(pid, Syscall::Wait), Err(Errno::EAGAIN));
+        let (k, pid, _) = kernel_with_user("u");
+        let _child = k.syscall_shared(pid, Syscall::Fork).unwrap().num();
+        assert_eq!(k.syscall_shared(pid, Syscall::Wait), Err(Errno::EAGAIN));
     }
 
     #[test]
     fn fork_inherits_fds_with_pins() {
-        let (mut k, pid, _) = kernel_with_user("u");
+        let (k, pid, _) = kernel_with_user("u");
         let fd = k
-            .syscall(
+            .syscall_shared(
                 pid,
                 Syscall::Open("f".into(), OpenFlags::rdwr_create(), 0o644),
             )
             .unwrap()
             .num() as usize;
-        k.syscall(pid, Syscall::Write(fd, b"x".to_vec())).unwrap();
-        let child = Pid(k.syscall(pid, Syscall::Fork).unwrap().num() as u32);
+        k.syscall_shared(pid, Syscall::Write(fd, b"x".to_vec())).unwrap();
+        let child = Pid(k.syscall_shared(pid, Syscall::Fork).unwrap().num() as u32);
         // Parent unlinks and closes; child's fd must still work.
-        k.syscall(pid, Syscall::Unlink("f".into())).unwrap();
-        k.syscall(pid, Syscall::Close(fd)).unwrap();
-        let d = k.syscall(child, Syscall::Pread(fd, 1, 0)).unwrap();
+        k.syscall_shared(pid, Syscall::Unlink("f".into())).unwrap();
+        k.syscall_shared(pid, Syscall::Close(fd)).unwrap();
+        let d = k.syscall_shared(child, Syscall::Pread(fd, 1, 0)).unwrap();
         assert_eq!(d.data(), b"x");
-        k.syscall(child, Syscall::Exit(0)).unwrap();
+        k.syscall_shared(child, Syscall::Exit(0)).unwrap();
     }
 
     #[test]
@@ -1751,13 +1767,13 @@ mod tests {
         let bob_pid = k.spawn(Cred::new(bob_uid, bob_uid), "/tmp", "sh").unwrap();
         // Bob cannot signal alice.
         assert_eq!(
-            k.syscall(bob_pid, Syscall::Kill(alice_pid, Signal::Term)),
+            k.syscall_shared(bob_pid, Syscall::Kill(alice_pid, Signal::Term)),
             Err(Errno::EPERM)
         );
         // Alice can signal herself.
-        k.syscall(alice_pid, Syscall::Kill(alice_pid, Signal::Usr1))
+        k.syscall_shared(alice_pid, Syscall::Kill(alice_pid, Signal::Usr1))
             .unwrap();
-        match k.syscall(alice_pid, Syscall::SigPending).unwrap() {
+        match k.syscall_shared(alice_pid, Syscall::SigPending).unwrap() {
             SysRet::Signals(sigs) => assert_eq!(sigs, vec![Signal::Usr1]),
             other => panic!("unexpected {other:?}"),
         }
@@ -1765,11 +1781,11 @@ mod tests {
 
     #[test]
     fn sigkill_terminates_immediately() {
-        let (mut k, pid, _) = kernel_with_user("u");
-        let child = Pid(k.syscall(pid, Syscall::Fork).unwrap().num() as u32);
-        k.syscall(pid, Syscall::Kill(child, Signal::Kill)).unwrap();
+        let (k, pid, _) = kernel_with_user("u");
+        let child = Pid(k.syscall_shared(pid, Syscall::Fork).unwrap().num() as u32);
+        k.syscall_shared(pid, Syscall::Kill(child, Signal::Kill)).unwrap();
         assert!(!k.process(child).unwrap().is_alive());
-        match k.syscall(pid, Syscall::Wait).unwrap() {
+        match k.syscall_shared(pid, Syscall::Wait).unwrap() {
             SysRet::Reaped(_, code) => assert_eq!(code, 137),
             other => panic!("unexpected {other:?}"),
         }
@@ -1777,15 +1793,15 @@ mod tests {
 
     #[test]
     fn chdir_and_getcwd() {
-        let (mut k, pid, _) = kernel_with_user("u");
-        k.syscall(pid, Syscall::Mkdir("sub".into(), 0o755)).unwrap();
-        k.syscall(pid, Syscall::Chdir("sub".into())).unwrap();
-        match k.syscall(pid, Syscall::Getcwd).unwrap() {
+        let (k, pid, _) = kernel_with_user("u");
+        k.syscall_shared(pid, Syscall::Mkdir("sub".into(), 0o755)).unwrap();
+        k.syscall_shared(pid, Syscall::Chdir("sub".into())).unwrap();
+        match k.syscall_shared(pid, Syscall::Getcwd).unwrap() {
             SysRet::Text(p) => assert_eq!(p, "/home/u/sub"),
             other => panic!("unexpected {other:?}"),
         }
-        k.syscall(pid, Syscall::Chdir("..".into())).unwrap();
-        match k.syscall(pid, Syscall::Getcwd).unwrap() {
+        k.syscall_shared(pid, Syscall::Chdir("..".into())).unwrap();
+        match k.syscall_shared(pid, Syscall::Getcwd).unwrap() {
             SysRet::Text(p) => assert_eq!(p, "/home/u"),
             other => panic!("unexpected {other:?}"),
         }
@@ -1793,8 +1809,8 @@ mod tests {
 
     #[test]
     fn get_user_name_without_box_is_account() {
-        let (mut k, pid, _) = kernel_with_user("dthain");
-        match k.syscall(pid, Syscall::GetUserName).unwrap() {
+        let (k, pid, _) = kernel_with_user("dthain");
+        match k.syscall_shared(pid, Syscall::GetUserName).unwrap() {
             SysRet::Name(id) => assert_eq!(id.as_str(), "dthain"),
             other => panic!("unexpected {other:?}"),
         }
@@ -1802,10 +1818,10 @@ mod tests {
 
     #[test]
     fn get_user_name_with_identity() {
-        let (mut k, pid, _) = kernel_with_user("dthain");
+        let (k, pid, _) = kernel_with_user("dthain");
         k.set_identity(pid, Identity::new("globus:/O=UnivNowhere/CN=Fred"))
             .unwrap();
-        match k.syscall(pid, Syscall::GetUserName).unwrap() {
+        match k.syscall_shared(pid, Syscall::GetUserName).unwrap() {
             SysRet::Name(id) => {
                 assert_eq!(id.as_str(), "globus:/O=UnivNowhere/CN=Fred")
             }
@@ -1833,7 +1849,7 @@ mod tests {
             .unwrap();
         let bob_pid = k.spawn(Cred::new(bob_uid, bob_uid), "/tmp", "sh").unwrap();
         assert_eq!(
-            k.syscall(
+            k.syscall_shared(
                 bob_pid,
                 Syscall::Open("/home/alice/secret".into(), OpenFlags::rdonly(), 0)
             ),
@@ -1841,7 +1857,7 @@ mod tests {
         );
         // Alice herself is fine.
         assert!(k
-            .syscall(
+            .syscall_shared(
                 alice_pid,
                 Syscall::Open("/home/alice/secret".into(), OpenFlags::rdonly(), 0)
             )
@@ -1850,137 +1866,57 @@ mod tests {
 
     #[test]
     fn stats_count_calls() {
-        let (mut k, pid, _) = kernel_with_user("u");
-        k.syscall(pid, Syscall::Getpid).unwrap();
-        k.syscall(pid, Syscall::Getpid).unwrap();
-        let _ = k.syscall(pid, Syscall::Stat("/none".into()));
+        let (k, pid, _) = kernel_with_user("u");
+        k.syscall_shared(pid, Syscall::Getpid).unwrap();
+        k.syscall_shared(pid, Syscall::Getpid).unwrap();
+        let _ = k.syscall_shared(pid, Syscall::Stat("/none".into()));
         assert_eq!(k.stats.count("getpid"), 2);
         assert_eq!(k.stats.count("stat"), 1);
         assert_eq!(k.total_syscalls(), 3);
     }
 
     #[test]
-    fn read_path_matches_exclusive_path() {
-        // Every call must produce the same result through `syscall_read`
-        // (shared borrow) as through `syscall` (exclusive borrow) against
-        // identical kernel state.
-        let build = || {
-            let (mut k, pid, _) = kernel_with_user("u");
-            let root = k.vfs().root();
-            k.vfs()
-                .write_file(root, "/tmp/f", b"hello world", &Cred::ROOT)
-                .unwrap();
-            k.vfs()
-                .symlink(root, "/tmp/f", "/tmp/ln", &Cred::ROOT)
-                .unwrap();
-            let fd = k
-                .syscall(pid, Syscall::Open("/tmp/f".into(), OpenFlags::rdonly(), 0))
-                .unwrap()
-                .num() as usize;
-            (k, pid, fd)
-        };
-        let calls = |fd: usize| {
-            vec![
-                Syscall::Getpid,
-                Syscall::Getppid,
-                Syscall::Getuid,
-                Syscall::Getcwd,
-                Syscall::GetUserName,
-                Syscall::Stat("/tmp/f".into()),
-                Syscall::Stat("/none".into()),
-                Syscall::Lstat("/tmp/ln".into()),
-                Syscall::Fstat(fd),
-                Syscall::Fstat(99),
-                Syscall::Readlink("/tmp/ln".into()),
-                Syscall::Readlink("/tmp/f".into()),
-                Syscall::AccessCheck("/tmp/f".into(), Access::R),
-                Syscall::Readdir("/tmp".into()),
-                Syscall::Pread(fd, 5, 6),
-                Syscall::Read(fd, 4),
-                Syscall::Lseek(fd, 2, Whence::Set),
-                Syscall::Read(fd, 4),
-                Syscall::Lseek(fd, -1, Whence::End),
-                Syscall::Lseek(fd, -100, Whence::Cur),
-            ]
-        };
-        let (mut k_mut, pid_a, fd_a) = build();
-        let (k_shared, pid_b, fd_b) = build();
-        for (a, b) in calls(fd_a).into_iter().zip(calls(fd_b)) {
-            let via_mut = k_mut.syscall(pid_a, a.clone());
-            let via_read = k_shared
-                .syscall_read(pid_b, &b)
-                .expect("every call is served on the shared path");
-            assert_eq!(via_mut, via_read, "diverged on {}", a.name());
-        }
-        assert_eq!(k_mut.total_syscalls(), k_shared.total_syscalls());
-    }
-
-    #[test]
     fn shared_path_serves_every_call() {
-        // Since the kernel went sharded, the shared-borrow path serves
-        // everything — mutating calls included — and counts each exactly
-        // once. (Before the shard split, `syscall_read` declined mutating
-        // calls with `None` and callers fell back to the exclusive lock.)
-        let (mut k, pid, _) = kernel_with_user("u");
+        // The shared-borrow path serves everything, mutating calls
+        // included, and counts each exactly once.
+        let (k, pid, _) = kernel_with_user("u");
         let before = k.total_syscalls();
-        let child = Pid(
-            k.syscall_read(pid, &Syscall::Fork)
-                .expect("served")
-                .unwrap()
-                .num() as u32,
-        );
+        let child = Pid(k.syscall_shared(pid, Syscall::Fork).unwrap().num() as u32);
         let fd = k
-            .syscall_read(
+            .syscall_shared(
                 pid,
-                &Syscall::Open("/tmp/x".into(), OpenFlags::rdwr_create(), 0o644),
+                Syscall::Open("/tmp/x".into(), OpenFlags::rdwr_create(), 0o644),
             )
-            .expect("served")
             .unwrap()
             .num() as usize;
-        k.syscall_read(pid, &Syscall::Write(fd, b"hi".to_vec()))
-            .expect("served")
-            .unwrap();
-        assert!(k.syscall_read(pid, &Syscall::Umask(0o022)).expect("served").is_ok());
-        assert!(k.syscall_read(pid, &Syscall::SigPending).expect("served").is_ok());
-        let (rfd, wfd) = match k.syscall_read(pid, &Syscall::Pipe).expect("served").unwrap() {
+        k.syscall_shared(pid, Syscall::Write(fd, b"hi".to_vec())).unwrap();
+        assert!(k.syscall_shared(pid, Syscall::Umask(0o022)).is_ok());
+        assert!(k.syscall_shared(pid, Syscall::SigPending).is_ok());
+        let (rfd, wfd) = match k.syscall_shared(pid, Syscall::Pipe).unwrap() {
             SysRet::PipeFds(r, w) => (r, w),
             other => panic!("unexpected {other:?}"),
         };
-        k.syscall_read(pid, &Syscall::Write(wfd, b"x".to_vec()))
-            .expect("served")
-            .unwrap();
-        assert_eq!(
-            k.syscall_read(pid, &Syscall::Read(rfd, 1))
-                .expect("served")
-                .unwrap()
-                .data(),
-            b"x"
-        );
-        // Shared and exclusive entry points feed the same counters.
-        k.syscall(child, Syscall::Exit(0)).unwrap();
-        k.syscall(pid, Syscall::Wait).unwrap();
+        k.syscall_shared(pid, Syscall::Write(wfd, b"x".to_vec())).unwrap();
+        assert_eq!(k.syscall_shared(pid, Syscall::Read(rfd, 1)).unwrap().data(), b"x");
+        k.syscall_shared(child, Syscall::Exit(0)).unwrap();
+        k.syscall_shared(pid, Syscall::Wait).unwrap();
         assert_eq!(k.total_syscalls(), before + 10);
     }
 
     #[test]
     fn shared_readers_run_concurrently_across_threads() {
-        use std::sync::{Arc, RwLock};
         let (k, pid, _) = kernel_with_user("u");
         let root = k.vfs().root();
         k.vfs()
             .write_file(root, "/tmp/f", b"shared data", &Cred::ROOT)
             .unwrap();
-        let k = Arc::new(RwLock::new(k));
+        let k = Arc::new(k);
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let k = Arc::clone(&k);
                 std::thread::spawn(move || {
                     for _ in 0..250 {
-                        let g = k.read().unwrap();
-                        let r = g
-                            .syscall_read(pid, &Syscall::Stat("/tmp/f".into()))
-                            .expect("stat is shared-servable");
-                        assert!(r.is_ok());
+                        assert!(k.syscall_shared(pid, Syscall::Stat("/tmp/f".into())).is_ok());
                     }
                 })
             })
@@ -1988,14 +1924,14 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(k.read().unwrap().stats.count("stat"), 1000);
+        assert_eq!(k.stats.count("stat"), 1000);
     }
 
     #[test]
     fn open_requires_read_or_write() {
-        let (mut k, pid, _) = kernel_with_user("u");
+        let (k, pid, _) = kernel_with_user("u");
         assert_eq!(
-            k.syscall(
+            k.syscall_shared(
                 pid,
                 Syscall::Open("f".into(), OpenFlags::default(), 0o644)
             ),
@@ -2005,77 +1941,77 @@ mod tests {
 
     #[test]
     fn excl_create_fails_on_existing() {
-        let (mut k, pid, _) = kernel_with_user("u");
+        let (k, pid, _) = kernel_with_user("u");
         let mut fl = OpenFlags::wronly_create_trunc();
         fl.excl = true;
         let fd = k
-            .syscall(pid, Syscall::Open("f".into(), fl, 0o644))
+            .syscall_shared(pid, Syscall::Open("f".into(), fl, 0o644))
             .unwrap()
             .num() as usize;
-        k.syscall(pid, Syscall::Close(fd)).unwrap();
+        k.syscall_shared(pid, Syscall::Close(fd)).unwrap();
         assert_eq!(
-            k.syscall(pid, Syscall::Open("f".into(), fl, 0o644)),
+            k.syscall_shared(pid, Syscall::Open("f".into(), fl, 0o644)),
             Err(Errno::EEXIST)
         );
     }
 
     #[test]
     fn exit_closes_fds_and_reparents_children() {
-        let (mut k, pid, _) = kernel_with_user("u");
+        let (k, pid, _) = kernel_with_user("u");
         let fd = k
-            .syscall(
+            .syscall_shared(
                 pid,
                 Syscall::Open("f".into(), OpenFlags::rdwr_create(), 0o644),
             )
             .unwrap()
             .num() as usize;
-        let child = Pid(k.syscall(pid, Syscall::Fork).unwrap().num() as u32);
-        let grandchild = Pid(k.syscall(child, Syscall::Fork).unwrap().num() as u32);
-        k.syscall(child, Syscall::Exit(0)).unwrap();
+        let child = Pid(k.syscall_shared(pid, Syscall::Fork).unwrap().num() as u32);
+        let grandchild = Pid(k.syscall_shared(child, Syscall::Fork).unwrap().num() as u32);
+        k.syscall_shared(child, Syscall::Exit(0)).unwrap();
         // Grandchild reparented to init (pid 1).
         assert_eq!(k.process(grandchild).unwrap().ppid, Pid(1));
         // Parent's fd still valid, child's pins released.
-        k.syscall(pid, Syscall::Write(fd, b"ok".to_vec())).unwrap();
-        k.syscall(grandchild, Syscall::Exit(0)).unwrap();
+        k.syscall_shared(pid, Syscall::Write(fd, b"ok".to_vec())).unwrap();
+        k.syscall_shared(grandchild, Syscall::Exit(0)).unwrap();
     }
 
     #[test]
     fn pipe_roundtrip_and_eof() {
-        let (mut k, pid, _) = kernel_with_user("u");
-        let fds = k.syscall(pid, Syscall::Pipe).unwrap();
+        let (k, pid, _) = kernel_with_user("u");
+        let fds = k.syscall_shared(pid, Syscall::Pipe).unwrap();
         let (rfd, wfd) = match fds {
             SysRet::PipeFds(r, w) => (r, w),
             other => panic!("unexpected {other:?}"),
         };
         // Empty pipe with live writer: EAGAIN.
-        assert_eq!(k.syscall(pid, Syscall::Read(rfd, 10)), Err(Errno::EAGAIN));
-        k.syscall(pid, Syscall::Write(wfd, b"through the pipe".to_vec()))
+        assert_eq!(k.syscall_shared(pid, Syscall::Read(rfd, 10)), Err(Errno::EAGAIN));
+        k.syscall_shared(pid, Syscall::Write(wfd, b"through the pipe".to_vec()))
             .unwrap();
-        let d = k.syscall(pid, Syscall::Read(rfd, 7)).unwrap();
+        let d = k.syscall_shared(pid, Syscall::Read(rfd, 7)).unwrap();
         assert_eq!(d.data(), b"through");
-        let d = k.syscall(pid, Syscall::Read(rfd, 100)).unwrap();
+        let d = k.syscall_shared(pid, Syscall::Read(rfd, 100)).unwrap();
         assert_eq!(d.data(), b" the pipe");
         // Close the writer: drained pipe now reports EOF.
-        k.syscall(pid, Syscall::Close(wfd)).unwrap();
-        let d = k.syscall(pid, Syscall::Read(rfd, 10)).unwrap();
+        k.syscall_shared(pid, Syscall::Close(wfd)).unwrap();
+        let d = k.syscall_shared(pid, Syscall::Read(rfd, 10)).unwrap();
         assert!(d.data().is_empty());
-        k.syscall(pid, Syscall::Close(rfd)).unwrap();
+        k.syscall_shared(pid, Syscall::Close(rfd)).unwrap();
     }
 
     #[test]
     fn pipe_epipe_on_writer_without_reader() {
-        let (mut k, pid, _) = kernel_with_user("u");
-        let (rfd, wfd) = match k.syscall(pid, Syscall::Pipe).unwrap() {
+        let (k, pid, _) = kernel_with_user("u");
+        let (rfd, wfd) = match k.syscall_shared(pid, Syscall::Pipe).unwrap() {
             SysRet::PipeFds(r, w) => (r, w),
             other => panic!("unexpected {other:?}"),
         };
-        k.syscall(pid, Syscall::Close(rfd)).unwrap();
+        k.syscall_shared(pid, Syscall::Close(rfd)).unwrap();
         assert_eq!(
-            k.syscall(pid, Syscall::Write(wfd, b"x".to_vec())),
+            k.syscall_shared(pid, Syscall::Write(wfd, b"x".to_vec())),
             Err(Errno::EPIPE)
         );
         // And a termination signal was queued, as in a real kernel.
-        match k.syscall(pid, Syscall::SigPending).unwrap() {
+        match k.syscall_shared(pid, Syscall::SigPending).unwrap() {
             SysRet::Signals(sigs) => assert_eq!(sigs, vec![Signal::Term]),
             other => panic!("unexpected {other:?}"),
         }
@@ -2083,47 +2019,47 @@ mod tests {
 
     #[test]
     fn pipe_crosses_fork() {
-        let (mut k, pid, _) = kernel_with_user("u");
-        let (rfd, wfd) = match k.syscall(pid, Syscall::Pipe).unwrap() {
+        let (k, pid, _) = kernel_with_user("u");
+        let (rfd, wfd) = match k.syscall_shared(pid, Syscall::Pipe).unwrap() {
             SysRet::PipeFds(r, w) => (r, w),
             other => panic!("unexpected {other:?}"),
         };
-        let child = Pid(k.syscall(pid, Syscall::Fork).unwrap().num() as u32);
+        let child = Pid(k.syscall_shared(pid, Syscall::Fork).unwrap().num() as u32);
         // Child writes, closes both ends, exits.
-        k.syscall(child, Syscall::Write(wfd, b"from child".to_vec()))
+        k.syscall_shared(child, Syscall::Write(wfd, b"from child".to_vec()))
             .unwrap();
-        k.syscall(child, Syscall::Exit(0)).unwrap();
+        k.syscall_shared(child, Syscall::Exit(0)).unwrap();
         // Parent closes its write end; reads the child's message; then EOF.
-        k.syscall(pid, Syscall::Close(wfd)).unwrap();
-        let d = k.syscall(pid, Syscall::Read(rfd, 100)).unwrap();
+        k.syscall_shared(pid, Syscall::Close(wfd)).unwrap();
+        let d = k.syscall_shared(pid, Syscall::Read(rfd, 100)).unwrap();
         assert_eq!(d.data(), b"from child");
-        let d = k.syscall(pid, Syscall::Read(rfd, 100)).unwrap();
+        let d = k.syscall_shared(pid, Syscall::Read(rfd, 100)).unwrap();
         assert!(d.data().is_empty(), "EOF after all writers gone");
-        k.syscall(pid, Syscall::Wait).unwrap();
+        k.syscall_shared(pid, Syscall::Wait).unwrap();
     }
 
     #[test]
     fn pipe_misuse_is_clean_errors() {
-        let (mut k, pid, _) = kernel_with_user("u");
-        let (rfd, wfd) = match k.syscall(pid, Syscall::Pipe).unwrap() {
+        let (k, pid, _) = kernel_with_user("u");
+        let (rfd, wfd) = match k.syscall_shared(pid, Syscall::Pipe).unwrap() {
             SysRet::PipeFds(r, w) => (r, w),
             other => panic!("unexpected {other:?}"),
         };
         // Wrong-direction I/O.
         assert_eq!(
-            k.syscall(pid, Syscall::Write(rfd, b"x".to_vec())),
+            k.syscall_shared(pid, Syscall::Write(rfd, b"x".to_vec())),
             Err(Errno::EBADF)
         );
-        assert_eq!(k.syscall(pid, Syscall::Read(wfd, 1)), Err(Errno::EBADF));
+        assert_eq!(k.syscall_shared(pid, Syscall::Read(wfd, 1)), Err(Errno::EBADF));
         // Pipes are not seekable and have no positioned I/O.
         assert_eq!(
-            k.syscall(pid, Syscall::Lseek(rfd, 0, Whence::Set)),
+            k.syscall_shared(pid, Syscall::Lseek(rfd, 0, Whence::Set)),
             Err(Errno::ESPIPE)
         );
-        assert_eq!(k.syscall(pid, Syscall::Pread(rfd, 1, 0)), Err(Errno::ESPIPE));
+        assert_eq!(k.syscall_shared(pid, Syscall::Pread(rfd, 1, 0)), Err(Errno::ESPIPE));
         // fstat reports the buffered byte count.
-        k.syscall(pid, Syscall::Write(wfd, b"abc".to_vec())).unwrap();
-        match k.syscall(pid, Syscall::Fstat(rfd)).unwrap() {
+        k.syscall_shared(pid, Syscall::Write(wfd, b"abc".to_vec())).unwrap();
+        match k.syscall_shared(pid, Syscall::Fstat(rfd)).unwrap() {
             SysRet::Stat(st) => assert_eq!(st.size, 3),
             other => panic!("unexpected {other:?}"),
         }
@@ -2131,17 +2067,17 @@ mod tests {
 
     #[test]
     fn readdir_via_syscall() {
-        let (mut k, pid, _) = kernel_with_user("u");
-        k.syscall(pid, Syscall::Mkdir("d".into(), 0o755)).unwrap();
+        let (k, pid, _) = kernel_with_user("u");
+        k.syscall_shared(pid, Syscall::Mkdir("d".into(), 0o755)).unwrap();
         let fd = k
-            .syscall(
+            .syscall_shared(
                 pid,
                 Syscall::Open("d/f".into(), OpenFlags::wronly_create_trunc(), 0o644),
             )
             .unwrap()
             .num() as usize;
-        k.syscall(pid, Syscall::Close(fd)).unwrap();
-        match k.syscall(pid, Syscall::Readdir("d".into())).unwrap() {
+        k.syscall_shared(pid, Syscall::Close(fd)).unwrap();
+        match k.syscall_shared(pid, Syscall::Readdir("d".into())).unwrap() {
             SysRet::Entries(es) => {
                 let names: Vec<_> = es.iter().map(|e| e.name.as_str()).collect();
                 assert_eq!(names, [".", "..", "f"]);
@@ -2152,7 +2088,7 @@ mod tests {
 
     #[test]
     fn pid_allocation_wraps_and_skips_live_pids() {
-        let mut k = Kernel::new();
+        let k = Kernel::new();
         k.set_max_pid(6); // pid space is {2..=6}; pid 1 is init
         let a = k.spawn(Cred::ROOT, "/", "a").unwrap();
         let b = k.spawn(Cred::ROOT, "/", "b").unwrap();
@@ -2166,8 +2102,8 @@ mod tests {
         // debug, silent pid aliasing after wrap in release.)
         assert_eq!(k.spawn(Cred::ROOT, "/", "f"), Err(Errno::EAGAIN));
         // One pid frees up (exit, then reaped by init, the spawn parent)…
-        k.syscall(c, Syscall::Exit(0)).unwrap();
-        match k.syscall(Pid(1), Syscall::Wait).unwrap() {
+        k.syscall_shared(c, Syscall::Exit(0)).unwrap();
+        match k.syscall_shared(Pid(1), Syscall::Wait).unwrap() {
             SysRet::Reaped(cpid, _) => assert_eq!(cpid, c),
             other => panic!("unexpected {other:?}"),
         }
@@ -2177,8 +2113,8 @@ mod tests {
 
     #[test]
     fn pipe_slot_reuse_cannot_alias_stale_fds() {
-        let (mut k, pid, _) = kernel_with_user("u");
-        let (r1, w1) = match k.syscall(pid, Syscall::Pipe).unwrap() {
+        let (k, pid, _) = kernel_with_user("u");
+        let (r1, w1) = match k.syscall_shared(pid, Syscall::Pipe).unwrap() {
             SysRet::PipeFds(r, w) => (r, w),
             other => panic!("unexpected {other:?}"),
         };
@@ -2188,10 +2124,10 @@ mod tests {
         let stale_r = k.process(pid).unwrap().file(r1).unwrap().backing.clone();
         let stale_w = k.process(pid).unwrap().file(w1).unwrap().backing.clone();
         // Close both ends: the slot is freed for reuse.
-        k.syscall(pid, Syscall::Close(r1)).unwrap();
-        k.syscall(pid, Syscall::Close(w1)).unwrap();
+        k.syscall_shared(pid, Syscall::Close(r1)).unwrap();
+        k.syscall_shared(pid, Syscall::Close(w1)).unwrap();
         // A new pipe reuses the slot id under a fresh generation.
-        let (r2, w2) = match k.syscall(pid, Syscall::Pipe).unwrap() {
+        let (r2, w2) = match k.syscall_shared(pid, Syscall::Pipe).unwrap() {
             SysRet::PipeFds(r, w) => (r, w),
             other => panic!("unexpected {other:?}"),
         };
@@ -2216,20 +2152,20 @@ mod tests {
                 ..Default::default()
             },
         );
-        k.syscall(pid, Syscall::Write(w2, b"fresh".to_vec())).unwrap();
-        assert_eq!(k.syscall(pid, Syscall::Read(sr, 5)), Err(Errno::EBADF));
-        assert_eq!(k.syscall(pid, Syscall::Fstat(sr)), Err(Errno::EBADF));
+        k.syscall_shared(pid, Syscall::Write(w2, b"fresh".to_vec())).unwrap();
+        assert_eq!(k.syscall_shared(pid, Syscall::Read(sr, 5)), Err(Errno::EBADF));
+        assert_eq!(k.syscall_shared(pid, Syscall::Fstat(sr)), Err(Errno::EBADF));
         assert_eq!(
-            k.syscall(pid, Syscall::Write(sw, b"zzz".to_vec())),
+            k.syscall_shared(pid, Syscall::Write(sw, b"zzz".to_vec())),
             Err(Errno::EBADF)
         );
         // A stale write is EBADF, not EPIPE: no termination signal.
-        match k.syscall(pid, Syscall::SigPending).unwrap() {
+        match k.syscall_shared(pid, Syscall::SigPending).unwrap() {
             SysRet::Signals(sigs) => assert!(sigs.is_empty()),
             other => panic!("unexpected {other:?}"),
         }
         // The new pipe is untouched by all of the above.
-        let d = k.syscall(pid, Syscall::Read(r2, 100)).unwrap();
+        let d = k.syscall_shared(pid, Syscall::Read(r2, 100)).unwrap();
         assert_eq!(d.data(), b"fresh");
     }
 
@@ -2305,5 +2241,64 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(k.pids().len(), workers + 1, "init + workers survive");
+    }
+
+    #[test]
+    fn accounts_added_during_snapshots_survive_reopen() {
+        // Account changes take only the accounts lock, so snapshots run
+        // concurrently with them; each account must land in a
+        // snapshot's blob or in the log after its watermark. Adders keep
+        // running until the last snapshot is done, so that snapshot
+        // races them and no later one can repair what it missed.
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 100;
+        let dir = std::env::temp_dir().join(format!("idbox-kernel-accounts-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = WalConfig::new(&dir).sync_every_op();
+        let k = Arc::new(Kernel::with_durability(cfg.clone()).unwrap().0);
+        let done = Arc::new(AtomicBool::new(false));
+        let added = Arc::new(AtomicUsize::new(0));
+        let adders: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (k, done, added) = (Arc::clone(&k), Arc::clone(&done), Arc::clone(&added));
+                std::thread::spawn(move || {
+                    let mut n = 0;
+                    while n < PER_THREAD && !done.load(Ordering::Relaxed) {
+                        k.account_add_with(|db| {
+                            let uid = db.next_free_uid();
+                            Account::new(format!("t{t}u{n}"), uid, uid)
+                        })
+                        .unwrap();
+                        n += 1;
+                        added.fetch_add(1, Ordering::Relaxed);
+                    }
+                    n
+                })
+            })
+            .collect();
+        for round in 1..=3 {
+            while added.load(Ordering::Relaxed) < round * 20 {
+                std::thread::yield_now();
+            }
+            k.wal_snapshot().unwrap().expect("WAL attached");
+        }
+        done.store(true, Ordering::Relaxed);
+        let counts: Vec<usize> = adders.into_iter().map(|a| a.join().unwrap()).collect();
+        drop(k);
+
+        let (k, report) = Kernel::with_durability(cfg).unwrap();
+        assert!(report.restored && report.snapshot_loaded);
+        let db = k.accounts();
+        let mut uids = HashSet::new();
+        for (t, &n) in counts.iter().enumerate() {
+            for i in 0..n {
+                let a = db.lookup(&format!("t{t}u{i}")).expect("account survives reopen");
+                assert!(uids.insert(a.uid), "uid {} assigned twice", a.uid);
+            }
+        }
+        drop(db);
+        drop(k);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

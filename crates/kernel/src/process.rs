@@ -185,11 +185,11 @@ pub enum FileBacking {
 pub struct OpenFile {
     /// Backing store.
     pub backing: FileBacking,
-    /// Current offset. Atomic so the kernel's shared-lock read path can
-    /// advance it through `&self`: an fd is private to one process, so
-    /// this is per-fd interior mutability, not cross-thread contention,
-    /// and `Relaxed` ordering suffices (the kernel lock orders everything
-    /// else).
+    /// Current offset. Atomic so dispatch can advance it through
+    /// `&self`: an fd is private to one process, so this is per-fd
+    /// interior mutability, not cross-thread contention, and `Relaxed`
+    /// ordering suffices (the offset publishes no other data, so there
+    /// is nothing for it to order).
     offset: AtomicU64,
     /// Flags the file was opened with.
     pub flags: OpenFlags,

@@ -79,11 +79,10 @@ pub const LATENCY_BUCKETS: usize = 32;
 
 /// Per-syscall latency histograms with fixed log-scale buckets.
 ///
-/// Same discipline as [`SyscallStats`]: the kernel lives behind a
-/// reader/writer lock and read-only calls are dispatched under the
-/// shared side, so every cell is an atomic and recording goes through
-/// `&self`. Supervisors time each dispatch and record here without
-/// holding either side of the kernel lock.
+/// Same discipline as [`SyscallStats`]: calls from every thread are
+/// dispatched through a shared `&Kernel`, so every cell is an atomic
+/// and recording goes through `&self`. Supervisors time each dispatch
+/// and record here without taking any kernel lock.
 #[derive(Debug)]
 pub struct LatencyStats {
     buckets: [[AtomicU64; LATENCY_BUCKETS]; Syscall::NAMES.len()],

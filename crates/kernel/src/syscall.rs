@@ -206,49 +206,6 @@ impl Syscall {
         }
     }
 
-    /// True for calls that observe kernel state without changing it
-    /// (beyond a private fd offset), so concurrent supervisors may
-    /// dispatch them under a *shared* kernel lock.
-    ///
-    /// The classification is deliberately conservative:
-    ///
-    /// * identity reads (`getpid`, `getppid`, `getuid`, `getcwd`,
-    ///   `get_user_name`, `getenv`) only look at the process table;
-    /// * metadata reads (`stat`, `lstat`, `fstat`, `readlink`, `access`,
-    ///   `readdir`) only look at the VFS (reads are "noatime", so no
-    ///   inode is touched);
-    /// * data reads (`read`, `pread`) and `lseek` mutate nothing but the
-    ///   calling process's own fd offset, which the kernel keeps in an
-    ///   atomic so it can advance under the shared lock.
-    ///
-    /// Everything else — including `sigpending` (drains the queue),
-    /// `umask` (swaps the mask), and pipe reads (consume bytes) — takes
-    /// the exclusive path. Note that a *classified* call can still fall
-    /// back to the exclusive path at dispatch time, e.g. when the path
-    /// routes to a mounted driver; see `Kernel::syscall_read`.
-    pub fn is_read_only(&self) -> bool {
-        use Syscall::*;
-        matches!(
-            self,
-            Getpid
-                | Getppid
-                | Getuid
-                | Getcwd
-                | GetUserName
-                | Getenv(_)
-                | Stat(_)
-                | Lstat(_)
-                | Fstat(_)
-                | Readlink(_)
-                | AccessCheck(..)
-                | Readdir(_)
-                | Read(..)
-                | Pread(..)
-                | Preadx(..)
-                | Lseek(..)
-        )
-    }
-
     /// True for calls that name a path (the ones the identity box must
     /// run ACL checks for).
     pub fn is_path_call(&self) -> bool {
@@ -342,33 +299,6 @@ mod tests {
         assert!(!Syscall::Read(0, 10).is_path_call());
         assert!(!Syscall::GetUserName.is_path_call());
         assert!(!Syscall::Getenv("PATH".into()).is_path_call());
-    }
-
-    #[test]
-    fn read_only_classification() {
-        // The shared-lock class.
-        assert!(Syscall::Getpid.is_read_only());
-        assert!(Syscall::Getcwd.is_read_only());
-        assert!(Syscall::GetUserName.is_read_only());
-        assert!(Syscall::Getenv("PATH".into()).is_read_only());
-        assert!(Syscall::Stat("/x".into()).is_read_only());
-        assert!(Syscall::Lstat("/x".into()).is_read_only());
-        assert!(Syscall::Fstat(3).is_read_only());
-        assert!(Syscall::Readlink("/x".into()).is_read_only());
-        assert!(Syscall::AccessCheck("/x".into(), Access::R).is_read_only());
-        assert!(Syscall::Readdir("/".into()).is_read_only());
-        assert!(Syscall::Read(0, 16).is_read_only());
-        assert!(Syscall::Pread(0, 16, 0).is_read_only());
-        assert!(Syscall::Preadx(0, 16, 0).is_read_only());
-        assert!(Syscall::Lseek(0, 0, Whence::Set).is_read_only());
-        // Mutators must never be classified read-only.
-        assert!(!Syscall::Open("/f".into(), OpenFlags::rdonly(), 0).is_read_only());
-        assert!(!Syscall::Write(0, vec![1]).is_read_only());
-        assert!(!Syscall::Close(0).is_read_only());
-        assert!(!Syscall::Umask(0o022).is_read_only());
-        assert!(!Syscall::SigPending.is_read_only());
-        assert!(!Syscall::Fork.is_read_only());
-        assert!(!Syscall::Pipe.is_read_only());
     }
 
     #[test]

@@ -37,7 +37,7 @@ proptest! {
     /// all processes exit.
     #[test]
     fn process_storm_preserves_invariants(ops in proptest::collection::vec(op(), 1..80)) {
-        let mut k = Kernel::new();
+        let k = Kernel::new();
         let base_inodes = k.vfs().live_inodes();
         let root_proc = k.spawn(Cred::new(1000, 1000), "/tmp", "storm").unwrap();
         let mut pids: Vec<Pid> = vec![root_proc];
@@ -45,38 +45,38 @@ proptest! {
             match op {
                 Op::Fork(i) => {
                     let p = pids[i % pids.len()];
-                    if let Ok(SysRet::Num(child)) = k.syscall(p, Syscall::Fork) {
+                    if let Ok(SysRet::Num(child)) = k.syscall_shared(p, Syscall::Fork) {
                         pids.push(Pid(child as u32));
                     }
                 }
                 Op::Exit(i, code) => {
                     let p = pids[i % pids.len()];
-                    let _ = k.syscall(p, Syscall::Exit(code));
+                    let _ = k.syscall_shared(p, Syscall::Exit(code));
                 }
                 Op::Wait(i) => {
                     let p = pids[i % pids.len()];
-                    if let Ok(SysRet::Reaped(child, _)) = k.syscall(p, Syscall::Wait) {
+                    if let Ok(SysRet::Reaped(child, _)) = k.syscall_shared(p, Syscall::Wait) {
                         pids.retain(|&q| q != child);
                     }
                 }
                 Op::Kill(a, b) => {
                     let (pa, pb) = (pids[a % pids.len()], pids[b % pids.len()]);
-                    let _ = k.syscall(pa, Syscall::Kill(pb, Signal::Kill));
+                    let _ = k.syscall_shared(pa, Syscall::Kill(pb, Signal::Kill));
                 }
                 Op::Open(i) => {
                     let p = pids[i % pids.len()];
-                    let _ = k.syscall(
+                    let _ = k.syscall_shared(
                         p,
                         Syscall::Open("/tmp/shared".into(), OpenFlags::rdwr_create(), 0o666),
                     );
                 }
                 Op::Close(i, fd) => {
                     let p = pids[i % pids.len()];
-                    let _ = k.syscall(p, Syscall::Close(fd));
+                    let _ = k.syscall_shared(p, Syscall::Close(fd));
                 }
                 Op::Write(i, byte) => {
                     let p = pids[i % pids.len()];
-                    let _ = k.syscall(p, Syscall::Write(0, vec![byte]));
+                    let _ = k.syscall_shared(p, Syscall::Write(0, vec![byte]));
                 }
             }
             // Invariant: every tracked pid still resolves (alive or
@@ -89,11 +89,11 @@ proptest! {
         // init, and verify the file's inode pins unwind.
         let all: Vec<Pid> = pids.clone();
         for p in all {
-            let _ = k.syscall(p, Syscall::Exit(0));
+            let _ = k.syscall_shared(p, Syscall::Exit(0));
         }
         // Everything reparents to init (pid 1); reap until ECHILD.
         loop {
-            match k.syscall(Pid(1), Syscall::Wait) {
+            match k.syscall_shared(Pid(1), Syscall::Wait) {
                 Ok(_) => {}
                 Err(Errno::ECHILD) => break,
                 Err(Errno::EAGAIN) => break, // only live procs left: none
@@ -103,7 +103,7 @@ proptest! {
         // Only init (and maybe /tmp/shared with nlink 1) remain: pins
         // are balanced, so unlinking frees the inode.
         let root = k.vfs().root();
-        let _ = k.vfs_mut().unlink(root, "/tmp/shared", &Cred::ROOT);
+        let _ = k.vfs().unlink(root, "/tmp/shared", &Cred::ROOT);
         prop_assert_eq!(k.vfs().live_inodes(), base_inodes);
     }
 
@@ -111,13 +111,13 @@ proptest! {
     /// another (freshly spawned) one.
     #[test]
     fn fds_are_per_process(n_opens in 1usize..6) {
-        let mut k = Kernel::new();
+        let k = Kernel::new();
         let a = k.spawn(Cred::ROOT, "/tmp", "a").unwrap();
         let b = k.spawn(Cred::ROOT, "/tmp", "b").unwrap();
         let mut fds = Vec::new();
         for i in 0..n_opens {
             let ret = k
-                .syscall(a, Syscall::Open(
+                .syscall_shared(a, Syscall::Open(
                     format!("/tmp/f{i}"),
                     OpenFlags::rdwr_create(),
                     0o644,
@@ -127,26 +127,26 @@ proptest! {
         }
         for fd in fds {
             prop_assert_eq!(
-                k.syscall(b, Syscall::Close(fd)),
+                k.syscall_shared(b, Syscall::Close(fd)),
                 Err(Errno::EBADF),
                 "fd {} leaked across processes", fd
             );
-            k.syscall(a, Syscall::Close(fd)).unwrap();
+            k.syscall_shared(a, Syscall::Close(fd)).unwrap();
         }
     }
 
     /// Zombies hold their exit codes faithfully for any code value.
     #[test]
     fn exit_codes_roundtrip(code in any::<i32>()) {
-        let mut k = Kernel::new();
+        let k = Kernel::new();
         let parent = k.spawn(Cred::ROOT, "/tmp", "p").unwrap();
-        let child = Pid(k.syscall(parent, Syscall::Fork).unwrap().num() as u32);
-        k.syscall(child, Syscall::Exit(code)).unwrap();
+        let child = Pid(k.syscall_shared(parent, Syscall::Fork).unwrap().num() as u32);
+        k.syscall_shared(child, Syscall::Exit(code)).unwrap();
         prop_assert_eq!(
             k.process(child).unwrap().state,
             ProcState::Zombie(code)
         );
-        match k.syscall(parent, Syscall::Wait).unwrap() {
+        match k.syscall_shared(parent, Syscall::Wait).unwrap() {
             SysRet::Reaped(p, c) => {
                 prop_assert_eq!(p, child);
                 prop_assert_eq!(c, code);

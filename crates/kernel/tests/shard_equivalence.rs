@@ -106,8 +106,8 @@ fn sharded_kernel_is_transcript_identical_to_single_shard() {
         ProptestConfig::with_cases(48),
         "shard_equivalence::transcript",
         |rng| {
-            let mut mono = Kernel::with_shards(1);
-            let mut sharded = Kernel::with_shards(5);
+            let mono = Kernel::with_shards(1);
+            let sharded = Kernel::with_shards(5);
             let cred = Cred::new(1000, 1000);
             let pid_m = mono.spawn(cred, "/tmp", "eq").unwrap();
             let pid_s = sharded.spawn(cred, "/tmp", "eq").unwrap();
@@ -129,8 +129,8 @@ fn sharded_kernel_is_transcript_identical_to_single_shard() {
                         "step {step}: generated calls diverged — pid lists differ"
                     )));
                 }
-                let rm = mono.syscall(pm, call_m.clone());
-                let rs = sharded.syscall(ps, call_s.clone());
+                let rm = mono.syscall_shared(pm, call_m.clone());
+                let rs = sharded.syscall_shared(ps, call_s.clone());
                 if format!("{rm:?}") != format!("{rs:?}") {
                     return Err(PropError::Fail(format!(
                         "step {step}: {call_m:?} from {pm} diverged:\n  \

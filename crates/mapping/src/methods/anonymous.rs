@@ -86,16 +86,16 @@ mod tests {
         let (account, home) = (s.account.clone(), s.home.clone());
         // The job leaves data behind...
         {
-            let mut k = kernel.lock();
+            let k = &*kernel;
             let root = k.vfs().root();
-            k.vfs_mut()
+            k.vfs()
                 .write_file(root, &format!("{home}/out.dat"), b"x", &Cred::ROOT)
                 .unwrap();
         }
         m.release(&kernel, s).unwrap();
-        let mut k = kernel.lock();
+        let k = &*kernel;
         assert!(k.accounts().lookup(&account).is_none());
         let root = k.vfs().root();
-        assert!(k.vfs_mut().read_file(root, &format!("{home}/out.dat"), &Cred::ROOT).is_err());
+        assert!(k.vfs().read_file(root, &format!("{home}/out.dat"), &Cred::ROOT).is_err());
     }
 }

@@ -132,12 +132,12 @@ mod tests {
     #[test]
     fn admit_without_accounts_or_privilege() {
         let (kernel, mut m) = setup();
-        let before = kernel.lock().accounts().len();
+        let before = kernel.accounts().len();
         let fred = Principal::new(AuthMethod::Globus, "/O=UnivNowhere/CN=Fred");
         let s = m.admit(&kernel, &fred).unwrap();
         assert!(matches!(s.runner, Runner::Boxed(_)));
         // No local account was created.
-        assert_eq!(kernel.lock().accounts().len(), before);
+        assert_eq!(kernel.accounts().len(), before);
         assert_eq!(m.interventions(), 0);
         assert!(!m.requires_privilege());
     }

@@ -68,8 +68,7 @@ impl IdentityMapper for GroupAccounts {
             .group_of(principal)
             .ok_or(MapError::NeedsAdministrator)?
             .to_string();
-        let k = kernel.lock();
-        let accounts = k.accounts();
+        let accounts = kernel.accounts();
         let acct = accounts
             .lookup(&account)
             .ok_or(MapError::NeedsAdministrator)?;

@@ -28,38 +28,36 @@ pub(crate) fn create_account_with_home(
     kernel: &SharedKernel,
     name: &str,
 ) -> SysResult<(Cred, String)> {
-    let mut k = kernel.lock();
-    let uid = k.accounts_mut().next_free_uid();
-    let account = Account::new(name, uid, uid);
-    let home = account.home.clone();
-    k.account_add(account)?;
-    let root = k.vfs().root();
-    k.vfs_mut().mkdir_all(root, &home, 0o700, &Cred::ROOT)?;
-    k.vfs_mut().chown(root, &home, uid, uid, &Cred::ROOT)?;
-    k.sync_passwd_file();
+    let Account { uid, home, .. } = kernel.account_add_with(|db| {
+        let uid = db.next_free_uid();
+        Account::new(name, uid, uid)
+    })?;
+    let root = kernel.vfs().root();
+    kernel.vfs().mkdir_all(root, &home, 0o700, &Cred::ROOT)?;
+    kernel.vfs().chown(root, &home, uid, uid, &Cred::ROOT)?;
+    kernel.sync_passwd_file();
     Ok((Cred::new(uid, uid), home))
 }
 
 /// Remove an account and its home directory (recursive), as root.
 pub(crate) fn destroy_account_with_home(kernel: &SharedKernel, name: &str) -> SysResult<()> {
-    let mut k = kernel.lock();
-    let Some(home) = k.accounts().lookup(name).map(|a| a.home.clone()) else {
-        return Ok(());
+    let home = match kernel.account_remove(name) {
+        Ok(account) => account.home,
+        Err(_) => return Ok(()),
     };
-    k.account_remove(name)?;
-    k.sync_passwd_file();
-    let root = k.vfs().root();
-    remove_tree(&mut k, root, &home)?;
+    kernel.sync_passwd_file();
+    let root = kernel.vfs().root();
+    remove_tree(kernel.vfs(), root, &home)?;
     Ok(())
 }
 
 fn remove_tree(
-    k: &mut idbox_kernel::Kernel,
+    vfs: &idbox_vfs::Vfs,
     root: idbox_vfs::Ino,
     path: &str,
 ) -> SysResult<()> {
     use idbox_vfs::FileKind;
-    let entries = match k.vfs_mut().readdir(root, path, &Cred::ROOT) {
+    let entries = match vfs.readdir(root, path, &Cred::ROOT) {
         Ok(e) => e,
         Err(_) => return Ok(()), // already gone
     };
@@ -69,12 +67,12 @@ fn remove_tree(
         }
         let child = format!("{}/{}", path.trim_end_matches('/'), e.name);
         match e.kind {
-            FileKind::Dir => remove_tree(k, root, &child)?,
+            FileKind::Dir => remove_tree(vfs, root, &child)?,
             _ => {
-                let _ = k.vfs_mut().unlink(root, &child, &Cred::ROOT);
+                let _ = vfs.unlink(root, &child, &Cred::ROOT);
             }
         }
     }
-    let _ = k.vfs_mut().rmdir(root, path, &Cred::ROOT);
+    let _ = vfs.rmdir(root, path, &Cred::ROOT);
     Ok(())
 }

@@ -54,8 +54,7 @@ impl IdentityMapper for PrivateAccounts {
             .get(&principal.qualified())
             .cloned()
             .ok_or(MapError::NeedsAdministrator)?;
-        let k = kernel.lock();
-        let accounts = k.accounts();
+        let accounts = kernel.accounts();
         let acct = accounts
             .lookup(&account)
             .ok_or(MapError::NeedsAdministrator)?;

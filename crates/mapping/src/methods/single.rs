@@ -43,8 +43,7 @@ impl IdentityMapper for SingleAccount {
         kernel: &SharedKernel,
         principal: &Principal,
     ) -> Result<Session, MapError> {
-        let k = kernel.lock();
-        let accounts = k.accounts();
+        let accounts = kernel.accounts();
         let acct = accounts
             .lookup(&self.account)
             .ok_or(MapError::NeedsAdministrator)?;
@@ -80,7 +79,7 @@ mod tests {
         let mut kern = Kernel::new();
         kern.accounts_mut().add(Account::new("dthain", 1000, 1000)).unwrap();
         let root = kern.vfs().root();
-        kern.vfs_mut()
+        kern.vfs()
             .mkdir_all(root, "/home/dthain", 0o755, &Cred::ROOT)
             .unwrap();
         let kernel = idbox_interpose::share(kern);

@@ -47,8 +47,7 @@ impl IdentityMapper for UntrustedAccount {
         kernel: &SharedKernel,
         principal: &Principal,
     ) -> Result<Session, MapError> {
-        let k = kernel.lock();
-        let accounts = k.accounts();
+        let accounts = kernel.accounts();
         let acct = accounts
             .lookup("nobody")
             .ok_or(MapError::NeedsAdministrator)?;

@@ -100,17 +100,17 @@ pub fn scenario_kernel() -> SharedKernel {
         .add(Account::new("dthain", 1000, 1000))
         .unwrap();
     let root = k.vfs().root();
-    k.vfs_mut()
+    k.vfs()
         .mkdir_all(root, "/home/dthain", 0o755, &Cred::ROOT)
         .unwrap();
-    k.vfs_mut()
+    k.vfs()
         .chown(root, "/home/dthain", 1000, 1000, &Cred::ROOT)
         .unwrap();
     let dthain = Cred::new(1000, 1000);
-    k.vfs_mut()
+    k.vfs()
         .write_file(root, "/home/dthain/secret", b"owner private", &dthain)
         .unwrap();
-    k.vfs_mut()
+    k.vfs()
         .chmod(root, "/home/dthain/secret", 0o600, &dthain)
         .unwrap();
     k.sync_passwd_file();

@@ -86,7 +86,7 @@ impl Session {
     ) -> SysResult<i32> {
         match &self.runner {
             Runner::Plain => {
-                let pid = kernel.lock().spawn(self.cred, &self.home, comm)?;
+                let pid = kernel.spawn(self.cred, &self.home, comm)?;
                 let mut sup = Supervisor::direct(Arc::clone(kernel));
                 let mut ctx = GuestCtx::new(&mut sup, pid);
                 let code = prog(&mut ctx);

@@ -191,6 +191,39 @@ pub struct Span {
     pub dur_ns: u64,
 }
 
+/// Record one timed phase of a request: into the flight recorder when
+/// the request is traced (every span, so a tracedump shows the whole
+/// request), and into `slow_ops` when it crosses the ring's threshold.
+/// A span that is neither traced nor slow costs no allocation and no
+/// clock read; otherwise the clock is read once for both sinks.
+pub fn observe_span(
+    slow_ops: &SlowOpLog,
+    trace: Option<TraceId>,
+    phase: Phase,
+    name: &str,
+    identity: &str,
+    dur_ns: u64,
+) {
+    let slow = dur_ns >= slow_ops.threshold_ns();
+    if trace.is_none() && !slow {
+        return;
+    }
+    let start_ns = now_unix_ns().saturating_sub(dur_ns);
+    if trace.is_some() {
+        flight::record_span(phase.as_str(), name, trace, start_ns, dur_ns);
+    }
+    if slow {
+        slow_ops.record(Span {
+            trace,
+            phase,
+            name: name.to_string(),
+            identity: identity.to_string(),
+            start_ns,
+            dur_ns,
+        });
+    }
+}
+
 /// Default slow-op ring capacity.
 pub const SLOW_OP_DEFAULT_CAP: usize = 512;
 

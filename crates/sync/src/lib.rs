@@ -104,14 +104,6 @@ impl<T: ?Sized> RwLock<T> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Compatibility alias for call sites written against the old
-    /// `Mutex`-shaped `SharedKernel`: an exclusive guard. Setup and
-    /// test code uses this freely; hot paths should pick `read()` or
-    /// `write()` explicitly.
-    pub fn lock(&self) -> RwLockWriteGuard<'_, T> {
-        self.write()
-    }
-
     /// Try to acquire a read guard without blocking.
     pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
         match self.0.try_read() {
@@ -361,9 +353,6 @@ mod tests {
         }
         *l.write() = 7;
         assert_eq!(*l.read(), 7);
-        // The Mutex-compat alias takes the exclusive guard.
-        *l.lock() += 1;
-        assert_eq!(*l.read(), 8);
     }
 
     #[test]

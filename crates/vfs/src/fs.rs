@@ -52,7 +52,7 @@ use crate::{Access, ExtentList, FileKind, Ino, StatBuf};
 use idbox_types::{Errno, SysResult};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard, ShardSet};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Credentials used for Unix permission checks.
@@ -361,7 +361,11 @@ pub struct Vfs {
     /// locks.
     rename_lock: Mutex<()>,
     dcache_enabled: bool,
-    fault_hook: Option<FaultHook>,
+    /// The installed fault hook, if any. `fault_armed` mirrors
+    /// `fault_hook.is_some()` so data operations skip the lock with one
+    /// relaxed load when no hook is installed.
+    fault_armed: AtomicBool,
+    fault_hook: RwLock<Option<FaultHook>>,
     /// Nominal chunk size for files created after this point (existing
     /// files keep the chunk size they were created with).
     chunk_size: usize,
@@ -406,7 +410,8 @@ impl Clone for Vfs {
             root: self.root,
             rename_lock: Mutex::new(()),
             dcache_enabled: self.dcache_enabled,
-            fault_hook: self.fault_hook.clone(),
+            fault_armed: AtomicBool::new(self.fault_armed.load(Ordering::Relaxed)),
+            fault_hook: RwLock::new(self.fault_hook.read().clone()),
             chunk_size: self.chunk_size,
             // A clone is a divergent fork (equivalence twins, tests);
             // logging its mutations into the original's WAL would
@@ -444,7 +449,8 @@ impl Vfs {
             root: Ino(1),
             rename_lock: Mutex::new(()),
             dcache_enabled: true,
-            fault_hook: None,
+            fault_armed: AtomicBool::new(false),
+            fault_hook: RwLock::new(None),
             chunk_size: default_chunk_size(),
             wal: None,
         };
@@ -532,8 +538,22 @@ impl Vfs {
 
     /// Install (or clear, with `None`) the errno-injection hook consulted
     /// by data operations ([`Vfs::read_into`], [`Vfs::write_at`]).
-    pub fn set_fault_hook(&mut self, hook: Option<FaultHook>) {
-        self.fault_hook = hook;
+    /// Safe to call while other threads run data operations: each one
+    /// sees either the old hook or the new one.
+    pub fn set_fault_hook(&self, hook: Option<FaultHook>) {
+        let mut slot = self.fault_hook.write();
+        self.fault_armed.store(hook.is_some(), Ordering::Relaxed);
+        *slot = hook;
+    }
+
+    /// Consult the fault hook for one data operation.
+    #[inline]
+    fn check_fault(&self, op: &'static str, ino: Ino) -> SysResult<()> {
+        if !self.fault_armed.load(Ordering::Relaxed) {
+            return Ok(());
+        }
+        let hook = self.fault_hook.read().clone();
+        hook.map_or(Ok(()), |h| h.check(op, ino))
     }
 
     /// Attach a write-ahead log: from this point every mutating
@@ -953,9 +973,7 @@ impl Vfs {
     /// the target's shard read lock, so concurrent readers — and writers
     /// in other shards — proceed in parallel.
     pub fn read_into(&self, ino: Ino, off: u64, out: &mut [u8]) -> SysResult<usize> {
-        if let Some(hook) = &self.fault_hook {
-            hook.check("read", ino)?;
-        }
+        self.check_fault("read", ino)?;
         let g = self.shards.read(self.shards.shard_of(ino.0));
         let inode = g.get(&ino.0).ok_or(Errno::ENOENT)?;
         let data = match &inode.payload {
@@ -986,9 +1004,7 @@ impl Vfs {
     /// Reads are "noatime", like [`Vfs::read_into`], and honour the
     /// same `"read"` fault-hook point.
     pub fn file_extents(&self, ino: Ino, off: u64, want: usize) -> SysResult<ExtentList> {
-        if let Some(hook) = &self.fault_hook {
-            hook.check("read", ino)?;
-        }
+        self.check_fault("read", ino)?;
         let g = self.shards.read(self.shards.shard_of(ino.0));
         let inode = g.get(&ino.0).ok_or(Errno::ENOENT)?;
         match &inode.payload {
@@ -1001,9 +1017,7 @@ impl Vfs {
     /// Write `data` at `off`, growing the file (zero-filling any gap).
     /// Returns bytes written.
     pub fn write_at(&self, ino: Ino, off: u64, data: &[u8]) -> SysResult<usize> {
-        if let Some(hook) = &self.fault_hook {
-            hook.check("write", ino)?;
-        }
+        self.check_fault("write", ino)?;
         let now = self.tick();
         let mut g = self.shards.write(self.shards.shard_of(ino.0));
         let inode = g.get_mut(&ino.0).ok_or(Errno::ENOENT)?;
@@ -2754,6 +2768,48 @@ mod tests {
             let in_a = v.stat(v.root(), &format!("/a/f{i}"), true, &ROOT).is_ok();
             let in_b = v.stat(v.root(), &format!("/b/f{i}"), true, &ROOT).is_ok();
             assert!(in_a ^ in_b, "f{i} must live in exactly one directory");
+        }
+    }
+
+    #[test]
+    fn fault_hook_installs_and_clears_under_concurrent_readers() {
+        let v = std::sync::Arc::new(fs());
+        let ino = v.write_file(v.root(), "/f", b"data", &ROOT).unwrap();
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let readers: Vec<_> = (0..3)
+            .map(|_| {
+                let (v, stop) = (std::sync::Arc::clone(&v), std::sync::Arc::clone(&stop));
+                thread::spawn(move || {
+                    let mut buf = [0u8; 4];
+                    while !stop.load(Ordering::Relaxed) {
+                        match v.read_into(ino, 0, &mut buf) {
+                            Ok(4) => assert_eq!(&buf, b"data"),
+                            Err(Errno::EIO) => {}
+                            other => panic!("unexpected read result {other:?}"),
+                        }
+                        match v.file_extents(ino, 0, 4) {
+                            Ok(x) => assert_eq!(x.total, 4),
+                            Err(e) => assert_eq!(e, Errno::EIO),
+                        }
+                    }
+                })
+            })
+            .collect();
+        let mut buf = [0u8; 4];
+        for _ in 0..200 {
+            v.set_fault_hook(Some(FaultHook::new(|op, _| {
+                (op == "read").then_some(Errno::EIO)
+            })));
+            // The installing thread sees its own hook at once; writes
+            // pass a read-only hook.
+            assert_eq!(v.read_into(ino, 0, &mut buf), Err(Errno::EIO));
+            assert_eq!(v.write_at(ino, 0, b"data"), Ok(4));
+            v.set_fault_hook(None);
+            assert_eq!(v.read_into(ino, 0, &mut buf), Ok(4));
+        }
+        stop.store(true, Ordering::Relaxed);
+        for r in readers {
+            r.join().unwrap();
         }
     }
 }

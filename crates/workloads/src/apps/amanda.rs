@@ -70,7 +70,7 @@ mod tests {
     #[test]
     fn produces_event_blocks() {
         let kernel = share(Kernel::new());
-        let pid = kernel.lock().spawn(Cred::ROOT, "/tmp", "amanda").unwrap();
+        let pid = kernel.spawn(Cred::ROOT, "/tmp", "amanda").unwrap();
         let mut sup = Supervisor::direct(kernel.clone());
         let mut ctx = GuestCtx::new(&mut sup, pid);
         prepare(&mut ctx, Scale::test());

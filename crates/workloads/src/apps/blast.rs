@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn scans_whole_database() {
         let kernel = share(Kernel::new());
-        let pid = kernel.lock().spawn(Cred::ROOT, "/tmp", "blast").unwrap();
+        let pid = kernel.spawn(Cred::ROOT, "/tmp", "blast").unwrap();
         let mut sup = Supervisor::direct(kernel.clone());
         let mut ctx = GuestCtx::new(&mut sup, pid);
         prepare(&mut ctx, Scale::test());
@@ -101,7 +101,7 @@ mod tests {
         let hits = ctx.read_file("/tmp/blast.hits").unwrap();
         assert!(!hits.is_empty());
         // The read mix should dominate the syscall profile.
-        let k = kernel.lock();
+        let k = &*kernel;
         assert!(k.stats.count("read") >= Scale::test().steps(DB_BLOCKS));
     }
 }

@@ -65,7 +65,7 @@ mod tests {
     #[test]
     fn one_record_per_event() {
         let kernel = share(Kernel::new());
-        let pid = kernel.lock().spawn(Cred::ROOT, "/tmp", "cms").unwrap();
+        let pid = kernel.spawn(Cred::ROOT, "/tmp", "cms").unwrap();
         let mut sup = Supervisor::direct(kernel);
         let mut ctx = GuestCtx::new(&mut sup, pid);
         prepare(&mut ctx, Scale::test());

@@ -82,7 +82,7 @@ mod tests {
     #[test]
     fn converges_with_checkpoints() {
         let kernel = share(Kernel::new());
-        let pid = kernel.lock().spawn(Cred::ROOT, "/tmp", "hf").unwrap();
+        let pid = kernel.spawn(Cred::ROOT, "/tmp", "hf").unwrap();
         let mut sup = Supervisor::direct(kernel.clone());
         let mut ctx = GuestCtx::new(&mut sup, pid);
         prepare(&mut ctx, Scale::test());
@@ -90,7 +90,7 @@ mod tests {
         let ckpt = ctx.read_file("/tmp/hf.checkpoint").unwrap();
         assert!(String::from_utf8(ckpt).unwrap().starts_with("iter="));
         // The mix is pread/pwrite-heavy.
-        let k = kernel.lock();
+        let k = &*kernel;
         assert!(k.stats.count("pwrite") >= Scale::test().steps(ITERATIONS));
         assert!(k.stats.count("pread") >= Scale::test().steps(ITERATIONS));
     }

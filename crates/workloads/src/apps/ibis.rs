@@ -65,7 +65,7 @@ mod tests {
     #[test]
     fn writes_one_summary_per_year() {
         let kernel = share(Kernel::new());
-        let pid = kernel.lock().spawn(Cred::ROOT, "/tmp", "ibis").unwrap();
+        let pid = kernel.spawn(Cred::ROOT, "/tmp", "ibis").unwrap();
         let mut sup = Supervisor::direct(kernel);
         let mut ctx = GuestCtx::new(&mut sup, pid);
         prepare(&mut ctx, Scale::test());

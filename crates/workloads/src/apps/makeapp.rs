@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn builds_everything_and_is_stat_heavy() {
         let kernel = share(Kernel::new());
-        let pid = kernel.lock().spawn(Cred::ROOT, "/tmp", "make").unwrap();
+        let pid = kernel.spawn(Cred::ROOT, "/tmp", "make").unwrap();
         let mut sup = Supervisor::direct(kernel.clone());
         let mut ctx = GuestCtx::new(&mut sup, pid);
         prepare(&mut ctx, Scale::test());
@@ -168,7 +168,7 @@ mod tests {
             assert!(ctx.stat(&format!("/tmp/{}/f{i}.o", dir_of(i))).is_ok());
         }
         // The defining property: stats dominate the profile.
-        let k = kernel.lock();
+        let k = &*kernel;
         let stats = k.stats.count("stat");
         let writes = k.stats.count("write");
         assert!(
@@ -181,14 +181,14 @@ mod tests {
     #[test]
     fn second_build_is_incremental() {
         let kernel = share(Kernel::new());
-        let pid = kernel.lock().spawn(Cred::ROOT, "/tmp", "make").unwrap();
+        let pid = kernel.spawn(Cred::ROOT, "/tmp", "make").unwrap();
         let mut sup = Supervisor::direct(kernel.clone());
         let mut ctx = GuestCtx::new(&mut sup, pid);
         prepare(&mut ctx, Scale::test());
         assert_eq!(run(&mut ctx, Scale::test()), 0);
-        let forks_after_first = kernel.lock().stats.count("fork");
+        let forks_after_first = kernel.stats.count("fork");
         assert_eq!(run(&mut ctx, Scale::test()), 0);
-        let forks_after_second = kernel.lock().stats.count("fork");
+        let forks_after_second = kernel.stats.count("fork");
         assert_eq!(
             forks_after_first, forks_after_second,
             "up-to-date objects must not be recompiled"

@@ -83,9 +83,9 @@ mod tests {
             for interposed in [false, true] {
                 let kernel = share(Kernel::new());
                 let pid = {
-                    let mut k = kernel.lock();
+                    let k = &*kernel;
                     let root = k.vfs().root();
-                    k.vfs_mut()
+                    k.vfs()
                         .mkdir_all(root, "/work", 0o777, &Cred::ROOT)
                         .unwrap();
                     k.spawn(Cred::new(1000, 1000), "/work", app.name).unwrap()

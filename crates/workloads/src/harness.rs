@@ -52,9 +52,9 @@ fn time_one(
         None => {
             // The unmodified baseline: plain process, direct syscalls.
             let pid = {
-                let mut k = kernel.lock();
+                let k = &*kernel;
                 let root = k.vfs().root();
-                k.vfs_mut().mkdir_all(root, "/work", 0o777, &Cred::ROOT)?;
+                k.vfs().mkdir_all(root, "/work", 0o777, &Cred::ROOT)?;
                 k.spawn(sup_cred, "/work", app.name)?
             };
             let mut sup = Supervisor::direct(kernel);

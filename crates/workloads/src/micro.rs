@@ -136,7 +136,7 @@ mod tests {
     fn all_cases_run_in_both_modes() {
         for interposed in [false, true] {
             let kernel = share(Kernel::new());
-            let pid = kernel.lock().spawn(Cred::ROOT, "/tmp", "micro").unwrap();
+            let pid = kernel.spawn(Cred::ROOT, "/tmp", "micro").unwrap();
             let mut sup = if interposed {
                 Supervisor::interposed(kernel, Box::new(AllowAll), CostModel::calibrated())
             } else {
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn read_cases_count_traps_per_iteration() {
         let kernel = share(Kernel::new());
-        let pid = kernel.lock().spawn(Cred::ROOT, "/tmp", "micro").unwrap();
+        let pid = kernel.spawn(Cred::ROOT, "/tmp", "micro").unwrap();
         let mut sup =
             Supervisor::interposed(kernel, Box::new(AllowAll), CostModel::calibrated());
         let mut ctx = GuestCtx::new(&mut sup, pid);

@@ -403,7 +403,7 @@ mod tests {
 
     fn ctx_run(script: &str) -> (ScriptResult, idbox_interpose::SharedKernel) {
         let kernel = share(Kernel::new());
-        let pid = kernel.lock().spawn(Cred::ROOT, "/tmp", "script").unwrap();
+        let pid = kernel.spawn(Cred::ROOT, "/tmp", "script").unwrap();
         let mut sup = Supervisor::direct(kernel.clone());
         let mut ctx = GuestCtx::new(&mut sup, pid);
         let r = run_script(&mut ctx, script.as_bytes());
@@ -492,9 +492,9 @@ mod tests {
              append work/b.txt second\n",
         );
         assert_eq!(r.code, 0, "{}", r.output);
-        let mut k = kernel.lock();
+        let k = &*kernel;
         let root = k.vfs().root();
-        let b = k.vfs_mut().read_file(root, "/tmp/work/b.txt", &Cred::ROOT).unwrap();
+        let b = k.vfs().read_file(root, "/tmp/work/b.txt", &Cred::ROOT).unwrap();
         assert_eq!(b, b"first\nsecond\n");
         assert!(k.vfs().stat(root, "/tmp/work/a.txt", true, &Cred::ROOT).is_err());
     }
@@ -522,9 +522,9 @@ mod tests {
             .unwrap();
         {
             let root = k.vfs().root();
-            k.vfs_mut().mkdir(root, "/home/op", 0o700, &Cred::ROOT).unwrap();
-            k.vfs_mut().chown(root, "/home/op", 1000, 1000, &Cred::ROOT).unwrap();
-            k.vfs_mut()
+            k.vfs().mkdir(root, "/home/op", 0o700, &Cred::ROOT).unwrap();
+            k.vfs().chown(root, "/home/op", 1000, 1000, &Cred::ROOT).unwrap();
+            k.vfs()
                 .write_file(root, "/home/op/secret", b"x", &Cred::new(1000, 1000))
                 .unwrap();
         }

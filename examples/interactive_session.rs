@@ -21,9 +21,9 @@ fn main() {
     let dthain = Cred::new(1000, 1000);
     {
         let root = k.vfs().root();
-        k.vfs_mut().mkdir(root, "/home/dthain", 0o700, &Cred::ROOT).unwrap();
-        k.vfs_mut().chown(root, "/home/dthain", 1000, 1000, &Cred::ROOT).unwrap();
-        k.vfs_mut()
+        k.vfs().mkdir(root, "/home/dthain", 0o700, &Cred::ROOT).unwrap();
+        k.vfs().chown(root, "/home/dthain", 1000, 1000, &Cred::ROOT).unwrap();
+        k.vfs()
             .write_file(root, "/home/dthain/secret", b"my private notes\n", &dthain)
             .unwrap();
         k.sync_passwd_file();
@@ -74,7 +74,7 @@ fn main() {
 
     println!("freddy$ exit");
     println!("dthain$ # Freddy never appeared in /etc/passwd:");
-    let k = b.kernel().lock();
+    let k = b.kernel();
     assert!(k.accounts().lookup("Freddy").is_none());
     println!("dthain$ grep -c Freddy /etc/passwd   -> 0");
 }

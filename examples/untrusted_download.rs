@@ -16,9 +16,9 @@ fn main() {
     let alice = Cred::new(1000, 1000);
     {
         let root = k.vfs().root();
-        k.vfs_mut().mkdir(root, "/home/alice", 0o700, &Cred::ROOT).unwrap();
-        k.vfs_mut().chown(root, "/home/alice", 1000, 1000, &Cred::ROOT).unwrap();
-        k.vfs_mut()
+        k.vfs().mkdir(root, "/home/alice", 0o700, &Cred::ROOT).unwrap();
+        k.vfs().chown(root, "/home/alice", 1000, 1000, &Cred::ROOT).unwrap();
+        k.vfs()
             .write_file(root, "/home/alice/banking.txt", b"account 12345", &alice)
             .unwrap();
     }

@@ -25,13 +25,13 @@ fn main() {
         .expect("fresh kernel");
     {
         let root = k.vfs().root();
-        k.vfs_mut()
+        k.vfs()
             .mkdir(root, "/home/dthain", 0o700, &Cred::ROOT)
             .unwrap();
-        k.vfs_mut()
+        k.vfs()
             .chown(root, "/home/dthain", 1000, 1000, &Cred::ROOT)
             .unwrap();
-        k.vfs_mut()
+        k.vfs()
             .write_file(
                 root,
                 "/home/dthain/secret",

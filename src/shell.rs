@@ -231,9 +231,9 @@ mod tests {
         k.accounts_mut().add(Account::new("op", 1000, 1000)).unwrap();
         {
             let root = k.vfs().root();
-            k.vfs_mut().mkdir(root, "/home/op", 0o700, &Cred::ROOT).unwrap();
-            k.vfs_mut().chown(root, "/home/op", 1000, 1000, &Cred::ROOT).unwrap();
-            k.vfs_mut()
+            k.vfs().mkdir(root, "/home/op", 0o700, &Cred::ROOT).unwrap();
+            k.vfs().chown(root, "/home/op", 1000, 1000, &Cred::ROOT).unwrap();
+            k.vfs()
                 .write_file(root, "/home/op/secret", b"s", &Cred::new(1000, 1000))
                 .unwrap();
         }
@@ -312,10 +312,10 @@ mod tests {
         sh.exec_line("write job.x #!guestscript");
         // Build the script via the host side (multi-line through write
         // is awkward; use the box directly).
-        let mut kernel = sh.kernel().lock();
+        let kernel = sh.kernel();
         let root = kernel.vfs().root();
         kernel
-            .vfs_mut()
+            .vfs()
             .write_file(
                 root,
                 "/home/boxes/Freddy/job.x",
@@ -324,10 +324,9 @@ mod tests {
             )
             .unwrap();
         kernel
-            .vfs_mut()
+            .vfs()
             .chmod(root, "/home/boxes/Freddy/job.x", 0o755, &Cred::new(1000, 1000))
             .unwrap();
-        drop(kernel);
         let out = sh.exec_line("run job.x");
         assert_eq!(out, "scripted hello\n(exit 0)\n");
     }

@@ -11,9 +11,9 @@ fn audited_box() -> IdentityBox {
     k.accounts_mut().add(Account::new("op", 1000, 1000)).unwrap();
     {
         let root = k.vfs().root();
-        k.vfs_mut().mkdir(root, "/home/op", 0o700, &Cred::ROOT).unwrap();
-        k.vfs_mut().chown(root, "/home/op", 1000, 1000, &Cred::ROOT).unwrap();
-        k.vfs_mut()
+        k.vfs().mkdir(root, "/home/op", 0o700, &Cred::ROOT).unwrap();
+        k.vfs().chown(root, "/home/op", 1000, 1000, &Cred::ROOT).unwrap();
+        k.vfs()
             .write_file(root, "/home/op/secret", b"s", &Cred::new(1000, 1000))
             .unwrap();
     }

@@ -60,11 +60,11 @@ fn many_boxes_one_kernel() {
 
     // Post-mortem integrity: every expected file exists with the right
     // content; the account database is untouched.
-    let mut k = kernel.lock();
+    let k = &*kernel;
     let root = k.vfs().root();
     for i in 0..8 {
         let log = k
-            .vfs_mut()
+            .vfs()
             .read_file(root, &format!("/tmp/u{i}.log"), &Cred::ROOT)
             .unwrap();
         assert_eq!(log, b"done");
@@ -108,7 +108,7 @@ fn fork_trees_in_parallel() {
     }
     // No process leaks: only init remains running (everything else
     // exited and was reaped or is a reparented zombie init can reap).
-    let k = b.kernel().lock();
+    let k = b.kernel();
     let live = k
         .pids()
         .into_iter()

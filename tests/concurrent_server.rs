@@ -1,9 +1,8 @@
 //! Concurrent Chirp service: several authenticated clients drive one
-//! server over real TCP at the same time. Read-only traffic rides the
-//! kernel's shared lock, so this exercises the reader/writer split end
-//! to end — correctness here means every client sees exactly its own
-//! files (ACL isolation holds under contention) and the server stays
-//! live throughout.
+//! server over real TCP at the same time, so this exercises the
+//! kernel's per-domain locking end to end — correctness here means
+//! every client sees exactly its own files (ACL isolation holds under
+//! contention) and the server stays live throughout.
 
 use idbox::acl::{Acl, Rights};
 use idbox::auth::{CertificateAuthority, ClientCredential, ServerVerifier};
@@ -67,8 +66,8 @@ fn concurrent_clients_stay_isolated_and_live() {
                 barrier.wait();
 
                 for round in 0..ROUNDS {
-                    // Read-heavy own traffic: served under the shared
-                    // kernel lock, concurrently with everyone else's.
+                    // Read-heavy own traffic, served concurrently with
+                    // everyone else's.
                     assert_eq!(c.stat(&file).unwrap().size, body.len() as u64);
                     assert_eq!(c.get(&file).unwrap(), body, "round {round}");
                     // The neighbour's reserved directory stays shut.

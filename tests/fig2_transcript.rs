@@ -15,9 +15,9 @@ fn figure2_session_transcript() {
     let dthain = Cred::new(1000, 1000);
     {
         let root = k.vfs().root();
-        k.vfs_mut().mkdir(root, "/home/dthain", 0o700, &Cred::ROOT).unwrap();
-        k.vfs_mut().chown(root, "/home/dthain", 1000, 1000, &Cred::ROOT).unwrap();
-        k.vfs_mut()
+        k.vfs().mkdir(root, "/home/dthain", 0o700, &Cred::ROOT).unwrap();
+        k.vfs().chown(root, "/home/dthain", 1000, 1000, &Cred::ROOT).unwrap();
+        k.vfs()
             .write_file(root, "/home/dthain/secret", b"private", &dthain)
             .unwrap();
         k.sync_passwd_file();
@@ -71,14 +71,14 @@ fn figure2_session_transcript() {
 
     // After the session: Freddy exists nowhere in the account database,
     // and the real /etc/passwd is unchanged.
-    let mut k = kernel.lock();
+    let k = &*kernel;
     assert!(k.accounts().lookup("Freddy").is_none());
     let root = k.vfs().root();
-    let passwd = k.vfs_mut().read_file(root, "/etc/passwd", &Cred::ROOT).unwrap();
+    let passwd = k.vfs().read_file(root, "/etc/passwd", &Cred::ROOT).unwrap();
     assert!(!String::from_utf8(passwd).unwrap().contains("Freddy"));
     // But Freddy's data survives for a return visit.
     let data = k
-        .vfs_mut()
+        .vfs()
         .read_file(root, "/home/boxes/Freddy/mydata", &Cred::ROOT)
         .unwrap();
     assert_eq!(data, b"freddy's file");

@@ -55,9 +55,9 @@ fn figure3_workflow_and_mount() {
     // The identity box on the server really was Fred's: his box home
     // exists in the server kernel, named by the identity.
     {
-        let mut k = handle.kernel().lock();
+        let k = handle.kernel();
         let root = k.vfs().root();
-        let boxes = k.vfs_mut().readdir(root, "/home/boxes", &Cred::ROOT).unwrap();
+        let boxes = k.vfs().readdir(root, "/home/boxes", &Cred::ROOT).unwrap();
         assert!(
             boxes.iter().any(|e| e.name.contains("Fred")),
             "server-side box home missing: {boxes:?}"
@@ -69,7 +69,7 @@ fn figure3_workflow_and_mount() {
     let c2 = ChirpClient::connect(handle.addr(), &creds).unwrap();
     let kernel = share(Kernel::new());
     let pid = {
-        let mut k = kernel.lock();
+        let k = &*kernel;
         k.mount("/chirp/fig3", Box::new(ChirpDriver::new(c2)));
         let pid = k.spawn(Cred::new(1000, 1000), "/tmp", "guest").unwrap();
         k.set_identity(pid, Identity::new("globus:/O=UnivNowhere/CN=Fred"))
@@ -84,7 +84,7 @@ fn figure3_workflow_and_mount() {
 
     // A different identity cannot ride Fred's mounted connection.
     {
-        let k = ctx.supervisor().kernel().lock();
+        let k = ctx.supervisor().kernel();
         k.set_identity(pid, Identity::new("globus:/O=UnivNowhere/CN=Mallory"))
             .unwrap();
     }

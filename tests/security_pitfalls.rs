@@ -11,8 +11,8 @@ fn machine() -> (SharedKernel, Cred) {
     let mut k = Kernel::new();
     k.accounts_mut().add(Account::new("dthain", 1000, 1000)).unwrap();
     let root = k.vfs().root();
-    k.vfs_mut().mkdir(root, "/home/dthain", 0o700, &Cred::ROOT).unwrap();
-    k.vfs_mut().chown(root, "/home/dthain", 1000, 1000, &Cred::ROOT).unwrap();
+    k.vfs().mkdir(root, "/home/dthain", 0o700, &Cred::ROOT).unwrap();
+    k.vfs().chown(root, "/home/dthain", 1000, 1000, &Cred::ROOT).unwrap();
     (share(k), Cred::new(1000, 1000))
 }
 
@@ -58,9 +58,9 @@ fn pitfall1_no_replicated_state() {
 fn pitfall2_indirect_paths() {
     let (kernel, sup_cred) = machine();
     {
-        let mut k = kernel.lock();
+        let k = &*kernel;
         let root = k.vfs().root();
-        k.vfs_mut()
+        k.vfs()
             .write_file(root, "/home/dthain/secret", b"shh", &sup_cred)
             .unwrap();
     }
@@ -139,7 +139,7 @@ fn pitfall4_check_and_use_are_atomic() {
         std::thread::spawn(move || {
             let mut on = false;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let mut k = kernel.lock();
+                let k = &*kernel;
                 let root = k.vfs().root();
                 let dir = k.vfs().resolve(root, &home, true, &Cred::ROOT).unwrap();
                 let acl = if on {
@@ -147,16 +147,16 @@ fn pitfall4_check_and_use_are_atomic() {
                 } else {
                     idbox::acl::Acl::empty()
                 };
-                idbox::core::write_acl(k.vfs_mut(), dir, &acl, &Cred::ROOT).unwrap();
+                idbox::core::write_acl(k.vfs(), dir, &acl, &Cred::ROOT).unwrap();
                 on = !on;
             }
         })
     };
     let path = format!("{home}/data");
     {
-        let mut k = kernel.lock();
+        let k = &*kernel;
         let root = k.vfs().root();
-        k.vfs_mut().write_file(root, &path, b"payload", &sup_cred).unwrap();
+        k.vfs().write_file(root, &path, b"payload", &sup_cred).unwrap();
     }
     let p = path.clone();
     b.run("racer", move |ctx| {
@@ -186,9 +186,9 @@ fn pitfall4_check_and_use_are_atomic() {
 fn pitfall5_clean_denial_values() {
     let (kernel, sup_cred) = machine();
     {
-        let mut k = kernel.lock();
+        let k = &*kernel;
         let root = k.vfs().root();
-        k.vfs_mut()
+        k.vfs()
             .write_file(root, "/home/dthain/secret", b"x", &sup_cred)
             .unwrap();
     }
@@ -209,7 +209,7 @@ fn pitfall5_clean_denial_values() {
     .unwrap();
     // And the raw mechanism supports arbitrary injected results: a
     // DenyAll policy turns every path call into EACCES without killing.
-    let pid = kernel.lock().spawn(sup_cred, "/tmp", "denied").unwrap();
+    let pid = kernel.spawn(sup_cred, "/tmp", "denied").unwrap();
     let mut sup = Supervisor::interposed(
         kernel,
         Box::new(idbox::interpose::DenyAll),
@@ -234,11 +234,11 @@ fn supervisor_is_omnipotent_outside_the_box() {
     })
     .unwrap();
     // dthain, outside any box, ignores the ACL entirely.
-    let mut k = kernel.lock();
+    let k = &*kernel;
     let root = k.vfs().root();
-    let data = k.vfs_mut().read_file(root, &path, &sup_cred).unwrap();
+    let data = k.vfs().read_file(root, &path, &sup_cred).unwrap();
     assert_eq!(data, b"visitor data");
-    k.vfs_mut()
+    k.vfs()
         .write_file(root, &path, b"supervisor was here", &sup_cred)
         .unwrap();
 }
@@ -248,17 +248,17 @@ fn supervisor_is_omnipotent_outside_the_box() {
 #[test]
 fn malformed_syscalls_do_not_crash_the_supervisor() {
     let (kernel, sup_cred) = machine();
-    let pid = kernel.lock().spawn(sup_cred, "/tmp", "fuzzer").unwrap();
-    let mut k = kernel.lock();
+    let pid = kernel.spawn(sup_cred, "/tmp", "fuzzer").unwrap();
+    let k = &*kernel;
     // Direct kernel-level garbage: out-of-range fds, dead pids, bad
     // whences are all clean errors.
-    assert_eq!(k.syscall(pid, Syscall::Close(9999)), Err(Errno::EBADF));
-    assert_eq!(k.syscall(pid, Syscall::Read(42, 10)), Err(Errno::EBADF));
+    assert_eq!(k.syscall_shared(pid, Syscall::Close(9999)), Err(Errno::EBADF));
+    assert_eq!(k.syscall_shared(pid, Syscall::Read(42, 10)), Err(Errno::EBADF));
     assert_eq!(
-        k.syscall(pid, Syscall::Kill(idbox::kernel::Pid(4242), idbox::kernel::Signal::Term)),
+        k.syscall_shared(pid, Syscall::Kill(idbox::kernel::Pid(4242), idbox::kernel::Signal::Term)),
         Err(Errno::ESRCH)
     );
-    match k.syscall(pid, Syscall::Getpid) {
+    match k.syscall_shared(pid, Syscall::Getpid) {
         Ok(SysRet::Num(n)) => assert_eq!(n, pid.0 as i64),
         other => panic!("unexpected {other:?}"),
     }

@@ -19,16 +19,16 @@ fn make_is_metadata_bound_the_others_are_io_bound() {
     for app in all_apps() {
         let kernel = share(Kernel::new());
         let pid = {
-            let mut k = kernel.lock();
+            let k = &*kernel;
             let root = k.vfs().root();
-            k.vfs_mut().mkdir_all(root, "/w", 0o777, &Cred::ROOT).unwrap();
+            k.vfs().mkdir_all(root, "/w", 0o777, &Cred::ROOT).unwrap();
             k.spawn(Cred::new(1000, 1000), "/w", app.name).unwrap()
         };
         let mut sup = Supervisor::direct(kernel.clone());
         let mut ctx = GuestCtx::new(&mut sup, pid);
         (app.prepare)(&mut ctx, Scale::test());
         assert_eq!((app.run)(&mut ctx, Scale::test()), 0, "{}", app.name);
-        let k = kernel.lock();
+        let k = &*kernel;
         let count = |name: &str| k.stats.count(name);
         // Metadata calls vs. data-moving calls: the distinction Section 7
         // draws between make and the scientific codes.
