@@ -8,6 +8,10 @@ cargo build --release
 # by path: a workspace API change that breaks it fails here, not in the
 # benchmark run.
 cargo build --release --offline --manifest-path idbench/Cargo.toml
+# The benchmark's own checks (~22 s on 2 vCPU): every workload passes
+# and emits its metrics, and the corrupt-byte and fail-open injections
+# make a run fail, so a change that blinds the benchmark fails here.
+cargo test --release --offline --manifest-path idbench/Cargo.toml
 cargo test -q
 # Observability subsystem: tracing/metrics units (idbox-obs),
 # histogram/audit-ring units, and the e2e suite covering the

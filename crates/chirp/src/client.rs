@@ -407,7 +407,7 @@ impl ChirpClient {
                     // joined to the server planes by the trace id.
                     idbox_obs::flight::record_span(
                         "client",
-                        line.split(' ').next().unwrap_or("rpc"),
+                        codec::verb_event_name(line.split(' ').next().unwrap_or("rpc")),
                         Some(trace),
                         start_ns,
                         start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
@@ -1046,7 +1046,7 @@ impl Pipeline<'_> {
             for op in &ops {
                 idbox_obs::flight::record_span(
                     "client",
-                    op.line.split(' ').next().unwrap_or("rpc"),
+                    codec::verb_event_name(op.line.split(' ').next().unwrap_or("rpc")),
                     Some(op.trace),
                     start_ns,
                     dur_ns,

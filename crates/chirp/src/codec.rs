@@ -5,6 +5,7 @@
 //! Words that may contain arbitrary bytes (paths, principals) are
 //! percent-encoded. Bulk data follows a line announcing its length.
 
+use idbox_obs::flight::EventName;
 use idbox_obs::TraceId;
 use idbox_types::{Errno, SysResult};
 use std::io::{BufRead, Read, Write};
@@ -14,6 +15,22 @@ pub const LINE_MAX: usize = 8192;
 
 /// Maximum accepted payload (64 MiB).
 pub const PAYLOAD_MAX: u64 = 64 << 20;
+
+/// Every request verb the server dispatches.
+pub const VERBS: &[&str] = &[
+    "whoami", "stat", "open", "close", "pread", "pwrite", "fstat", "mkdir", "rmdir", "unlink",
+    "rename", "truncate", "readdir", "getacl", "setacl", "put", "get", "batch", "exec", "stats",
+    "audit", "metrics", "walsnap", "tracedump", "health", "slowops", "quit",
+];
+
+/// The flight-recorder name of a request verb: static for the verbs in
+/// [`VERBS`], owned only for an unknown word echoed from the wire.
+pub fn verb_event_name(word: &str) -> EventName {
+    match VERBS.iter().find(|v| **v == word) {
+        Some(v) => EventName::Static(v),
+        None => EventName::Owned(word.into()),
+    }
+}
 
 /// Percent-encode a word: `%`, whitespace, control bytes, and all
 /// non-ASCII bytes become `%XX`, so any UTF-8 string crosses the wire
@@ -251,6 +268,14 @@ pub fn parse_response(line: &str) -> SysResult<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn known_verbs_name_events_statically() {
+        for verb in VERBS {
+            assert_eq!(verb_event_name(verb), EventName::Static(verb));
+        }
+        assert_eq!(verb_event_name("frob"), EventName::Owned("frob".into()));
+    }
 
     #[test]
     fn word_roundtrip() {

@@ -963,7 +963,8 @@ impl Session {
             // fresh connection); count it so retry pressure is visible
             // per identity.
             self.counters.bump_rpc_retried();
-            idbox_obs::flight::record_instant("retry", &pf.words[0], pf.trace);
+            let verb = codec::verb_event_name(&pf.words[0]);
+            idbox_obs::flight::record_instant("retry", verb, pf.trace);
         }
         if pf.words[0] == "quit" {
             return (Some(Ok(Reply::Line("ok".to_string()))), true);
@@ -1019,7 +1020,7 @@ impl Session {
             &ctl.slow_ops,
             self.obs.trace.get(),
             Phase::Rpc,
-            &pf.words[0],
+            codec::verb_event_name(&pf.words[0]),
             &self.obs.identity,
             t0.elapsed().as_nanos() as u64,
         );

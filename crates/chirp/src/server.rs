@@ -977,7 +977,7 @@ pub(crate) fn dispatch(
                 &ctl.slow_ops,
                 obs.trace.get(),
                 Phase::Exec,
-                &path,
+                path.clone(),
                 &obs.identity,
                 t0.elapsed().as_nanos() as u64,
             );
@@ -1026,7 +1026,7 @@ pub(crate) fn dispatch(
                 text.push_str(&format!(
                     "{} {} {} {} {} {} {}\n",
                     e.seq,
-                    codec::encode_word(&e.identity),
+                    codec::encode_word(e.identity.as_str()),
                     e.syscall,
                     path,
                     e.verdict.as_str(),

@@ -13,7 +13,7 @@
 
 use idbox_kernel::Syscall;
 use idbox_obs::TraceId;
-use idbox_types::Errno;
+use idbox_types::{Errno, Identity};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,8 +52,9 @@ pub struct AuditEvent {
     /// Monotonic sequence number (survives ring overflow, so gaps in a
     /// snapshot reveal how much history was dropped).
     pub seq: u64,
-    /// The boxed identity the decision was made for.
-    pub identity: String,
+    /// The boxed identity the decision was made for — the ruling
+    /// policy's own [`Identity`], shared rather than copied.
+    pub identity: Identity,
     /// Syscall name, as in [`Syscall::name`].
     pub syscall: &'static str,
     /// The path(s) the call named, when it named any.
@@ -93,16 +94,18 @@ impl AuditRing {
     }
 
     /// Append one decision, evicting the oldest event when full.
-    /// `trace` is the id of the RPC being served, when known.
+    /// `trace` is the id of the RPC being served, when known. Passing
+    /// the policy's [`Identity`] shares it (a refcount bump); a `&str`
+    /// is copied.
     pub fn record(
         &self,
-        identity: &str,
+        identity: impl Into<Identity>,
         call: &Syscall,
         verdict: Verdict,
         errno: Option<Errno>,
         trace: Option<TraceId>,
     ) {
-        self.record_named(identity, call.name(), call_path(call), verdict, errno, trace);
+        self.push(identity.into(), call.name(), call_path(call), verdict, errno, trace);
     }
 
     /// Append one decision that is not a syscall ruling — degradation
@@ -119,10 +122,22 @@ impl AuditRing {
         errno: Option<Errno>,
         trace: Option<TraceId>,
     ) {
+        self.push(Identity::new(identity), op, path, verdict, errno, trace);
+    }
+
+    fn push(
+        &self,
+        identity: Identity,
+        op: &'static str,
+        path: Option<String>,
+        verdict: Verdict,
+        errno: Option<Errno>,
+        trace: Option<TraceId>,
+    ) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let event = AuditEvent {
             seq,
-            identity: identity.to_string(),
+            identity,
             syscall: op,
             path,
             verdict,

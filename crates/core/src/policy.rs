@@ -215,7 +215,7 @@ impl IdentityBoxPolicy {
         }
         let Some(ring) = &self.audit else { return };
         let trace = self.trace.as_ref().and_then(|cell| cell.get());
-        ring.record(self.identity.as_str(), call, verdict, errno, trace);
+        ring.record(self.identity.clone(), call, verdict, errno, trace);
     }
 
     /// The boxed identity.

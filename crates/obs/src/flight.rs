@@ -22,10 +22,63 @@
 
 use crate::{now_unix_ns, TraceId};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
+
+/// The name of a [`FlightEvent`]. Names known at compile time (syscall
+/// names, phases, wire verbs) and shard coordinates are stored without
+/// touching the heap; only genuinely dynamic names — an exec'd program
+/// path, an unknown verb echoed from the wire — own their bytes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum EventName {
+    /// A name with static storage.
+    Static(&'static str),
+    /// A shard lock `(domain, shard)`, rendered as `domain/shard`.
+    Shard(&'static str, u32),
+    /// A name built at run time.
+    Owned(Box<str>),
+}
+
+impl EventName {
+    /// The rendered name. Borrowed except for shard names, which are
+    /// formatted here — at snapshot/render time, not when recorded.
+    pub fn text(&self) -> Cow<'_, str> {
+        match self {
+            EventName::Static(s) => Cow::Borrowed(s),
+            EventName::Owned(s) => Cow::Borrowed(s),
+            EventName::Shard(domain, shard) => Cow::Owned(format!("{domain}/{shard}")),
+        }
+    }
+
+    /// Heap bytes this name owns.
+    fn owned_bytes(&self) -> usize {
+        match self {
+            EventName::Owned(s) => s.len(),
+            _ => 0,
+        }
+    }
+}
+
+impl From<&'static str> for EventName {
+    fn from(s: &'static str) -> Self {
+        EventName::Static(s)
+    }
+}
+
+impl From<String> for EventName {
+    fn from(s: String) -> Self {
+        EventName::Owned(s.into_boxed_str())
+    }
+}
+
+impl PartialEq<&str> for EventName {
+    fn eq(&self, other: &&str) -> bool {
+        self.text() == *other
+    }
+}
 
 /// One recorded event: a span (`dur_ns > 0`) or an instant.
 #[derive(Clone, Debug)]
@@ -39,15 +92,17 @@ pub struct FlightEvent {
     /// Recorder-assigned id of the recording thread.
     pub tid: u32,
     /// Plane the event belongs to: `client`, `rpc`, `dispatch`,
-    /// `policy`, `exec`, `shard`, `loop`, `shed`, `retry`, `fault`.
+    /// `policy`, `exec`, `data`, `shard`, `loop`, `shed`, `retry`.
     pub plane: &'static str,
     /// Event name within the plane (verb, syscall, `domain/shard`...).
-    pub name: String,
+    pub name: EventName,
 }
 
 impl FlightEvent {
+    /// Ring bytes charged for this event: its fixed size plus whatever
+    /// name bytes it owns on the heap.
     fn cost(&self) -> usize {
-        std::mem::size_of::<FlightEvent>() + self.name.len()
+        std::mem::size_of::<FlightEvent>() + self.name.owned_bytes()
     }
 }
 
@@ -85,7 +140,7 @@ pub fn set_flight_enabled(on: bool) {
     ENABLED.store(on, Relaxed);
 }
 
-fn recording() -> bool {
+pub(crate) fn recording() -> bool {
     ENABLED.load(Relaxed) && ring_budget_bytes() > 0
 }
 
@@ -146,8 +201,16 @@ fn push(ev: FlightEvent) {
     });
 }
 
-/// Record a completed span on this thread.
-pub fn record_span(plane: &'static str, name: &str, trace: Option<TraceId>, ts_ns: u64, dur_ns: u64) {
+/// Record a completed span on this thread. A static or shard `name`
+/// costs no allocation; once the ring has filled to its budget, pushing
+/// such an event reuses the slot the evicted one freed.
+pub fn record_span(
+    plane: &'static str,
+    name: impl Into<EventName>,
+    trace: Option<TraceId>,
+    ts_ns: u64,
+    dur_ns: u64,
+) {
     if !recording() {
         return;
     }
@@ -157,31 +220,30 @@ pub fn record_span(plane: &'static str, name: &str, trace: Option<TraceId>, ts_n
         trace: trace.or_else(current_trace),
         tid: RING.with(|r| r.tid),
         plane,
-        name: name.to_string(),
+        name: name.into(),
     });
 }
 
 /// Record an instant (zero-duration) event stamped "now".
-pub fn record_instant(plane: &'static str, name: &str, trace: Option<TraceId>) {
+pub fn record_instant(plane: &'static str, name: impl Into<EventName>, trace: Option<TraceId>) {
     record_span(plane, name, trace, now_unix_ns(), 0);
 }
 
-/// Install the shard-lock contention hook: every profiled lock
-/// acquisition made while a trace is parked on the acquiring thread
-/// becomes a `shard` plane event (`name = "domain/shard"`, duration =
-/// the contended wait, zero when uncontended). Idempotent.
+/// Install the shard-lock contention hook: every *contended* profiled
+/// lock acquisition (the `try_lock` missed and the thread blocked) made
+/// while a trace is parked on the acquiring thread becomes one `shard`
+/// plane event, named `domain/shard` at render time, whose duration is
+/// the wait. Uncontended acquisitions record nothing and read no clock.
+/// Idempotent.
 pub fn install_lock_hook() {
     parking_lot::set_contention_hook(Box::new(|domain, shard, wait_us| {
-        if !recording() {
-            return;
-        }
-        if current_trace().is_none() {
+        if !recording() || current_trace().is_none() {
             return;
         }
         let wait_ns = wait_us.saturating_mul(1000);
         record_span(
             "shard",
-            &format!("{domain}/{shard}"),
+            EventName::Shard(domain, u32::try_from(shard).unwrap_or(u32::MAX)),
             None,
             now_unix_ns().saturating_sub(wait_ns),
             wait_ns,
@@ -250,7 +312,7 @@ pub fn render_chrome_trace(events: &[FlightEvent]) -> String {
             out.push(',');
         }
         out.push_str("{\"name\":\"");
-        json_escape_into(&mut out, &e.name);
+        json_escape_into(&mut out, &e.name.text());
         out.push_str("\",\"cat\":\"");
         json_escape_into(&mut out, e.plane);
         out.push_str("\",\"ph\":\"");
@@ -329,7 +391,7 @@ mod tests {
         assert!(budget > 0);
         let t0 = now_unix_ns();
         for i in 0..20_000 {
-            record_span("rpc", &format!("flood-{i}"), None, t0 + i, 1);
+            record_span("rpc", format!("flood-{i}"), None, t0 + i, 1);
         }
         for (_, _, bytes) in ring_usage() {
             assert!(bytes <= budget, "ring over budget: {bytes} > {budget}");
@@ -350,7 +412,7 @@ mod tests {
                 trace: Some(t),
                 tid: 7,
                 plane: "rpc",
-                name: "sta\"t\\x".into(),
+                name: EventName::Owned("sta\"t\\x".into()),
             },
             FlightEvent {
                 ts_ns: 4_000,
@@ -358,7 +420,7 @@ mod tests {
                 trace: None,
                 tid: 7,
                 plane: "shed",
-                name: "busy\nline".into(),
+                name: EventName::Static("busy\nline"),
             },
         ];
         let json = render_chrome_trace(&events);

@@ -192,35 +192,38 @@ pub struct Span {
 }
 
 /// Record one timed phase of a request: into the flight recorder when
-/// the request is traced (every span, so a tracedump shows the whole
-/// request), and into `slow_ops` when it crosses the ring's threshold.
-/// A span that is neither traced nor slow costs no allocation and no
-/// clock read; otherwise the clock is read once for both sinks.
+/// the request is traced and the recorder is on (every span, so a
+/// tracedump shows the whole request), and into `slow_ops` when it
+/// crosses the ring's threshold. A span bound for neither sink reads no
+/// clock; one bound only for the flight recorder with a static `name`
+/// allocates nothing. Otherwise the clock is read once for both sinks.
 pub fn observe_span(
     slow_ops: &SlowOpLog,
     trace: Option<TraceId>,
     phase: Phase,
-    name: &str,
+    name: impl Into<flight::EventName>,
     identity: &str,
     dur_ns: u64,
 ) {
     let slow = dur_ns >= slow_ops.threshold_ns();
-    if trace.is_none() && !slow {
+    let flown = trace.is_some() && flight::recording();
+    if !flown && !slow {
         return;
     }
     let start_ns = now_unix_ns().saturating_sub(dur_ns);
-    if trace.is_some() {
-        flight::record_span(phase.as_str(), name, trace, start_ns, dur_ns);
-    }
+    let name = name.into();
     if slow {
         slow_ops.record(Span {
             trace,
             phase,
-            name: name.to_string(),
+            name: name.text().into_owned(),
             identity: identity.to_string(),
             start_ns,
             dur_ns,
         });
+    }
+    if flown {
+        flight::record_span(phase.as_str(), name, trace, start_ns, dur_ns);
     }
 }
 

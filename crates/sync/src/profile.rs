@@ -63,15 +63,18 @@ pub fn set_lock_profiling(on: bool) {
     flag().store(on, Relaxed);
 }
 
-/// Callback invoked on every profiled acquisition: `(domain, shard,
-/// wait_us)` — `wait_us` is 0 for uncontended acquisitions. Installed
+/// Callback invoked once per *contended* profiled acquisition — one
+/// whose `try_lock` missed, so the caller blocked — with `(domain,
+/// shard, wait_us)`. Uncontended acquisitions never call it (they are
+/// counted in the per-shard `acquisitions` counter only). Installed
 /// once (by `idbox-obs`) to join shard waits to the current trace.
 pub type ContentionHook = dyn Fn(&'static str, usize, u64) + Send + Sync;
 
 static HOOK: OnceLock<Box<ContentionHook>> = OnceLock::new();
 
-/// Install the process-wide contention hook. First caller wins;
-/// later installs are ignored.
+/// Install the process-wide contention hook, called for every
+/// contended acquisition while profiling is enabled. First caller
+/// wins; later installs are ignored.
 pub fn set_contention_hook(hook: Box<ContentionHook>) {
     let _ = HOOK.set(hook);
 }
@@ -130,14 +133,12 @@ impl DomainProfile {
         self.name
     }
 
-    fn note(&self, shard: usize, wait_us: u64, contended: bool) {
+    fn note_wait(&self, shard: usize, wait_us: u64) {
         let s = &self.shards[shard];
         s.acquisitions.fetch_add(1, Relaxed);
-        if contended {
-            s.waits.fetch_add(1, Relaxed);
-            s.wait_total_us.fetch_add(wait_us, Relaxed);
-            s.buckets[bucket_of(wait_us)].fetch_add(1, Relaxed);
-        }
+        s.waits.fetch_add(1, Relaxed);
+        s.wait_total_us.fetch_add(wait_us, Relaxed);
+        s.buckets[bucket_of(wait_us)].fetch_add(1, Relaxed);
         if let Some(h) = HOOK.get() {
             h(self.name, shard, wait_us);
         }
@@ -145,7 +146,8 @@ impl DomainProfile {
 
     /// Profile one acquisition of shard `shard`: `try_get` is the
     /// non-blocking attempt, `get` the blocking fallback. The clock is
-    /// read only when the try fails.
+    /// read, and the [`ContentionHook`] called, only when the try
+    /// fails.
     #[inline]
     pub fn acquire<G>(
         &self,
@@ -157,12 +159,12 @@ impl DomainProfile {
             return get();
         }
         if let Some(g) = try_get() {
-            self.note(shard, 0, false);
+            self.shards[shard].acquisitions.fetch_add(1, Relaxed);
             return g;
         }
         let t0 = Instant::now();
         let g = get();
-        self.note(shard, t0.elapsed().as_micros() as u64, true);
+        self.note_wait(shard, t0.elapsed().as_micros() as u64);
         g
     }
 

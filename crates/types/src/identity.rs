@@ -82,6 +82,12 @@ impl From<String> for Identity {
     }
 }
 
+impl PartialEq<&str> for Identity {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
 impl AsRef<str> for Identity {
     fn as_ref(&self) -> &str {
         self.as_str()
