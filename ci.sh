@@ -107,6 +107,19 @@ IDBOX_BENCH_WINDOW_MS=150 IDBOX_BENCH_ASSERT_OVERHEAD=1 \
 for v in $(grep -rhoE 'IDBOX_[A-Z0-9_]+' crates --include='*.rs' | sort -u); do
   grep -q "$v" OPERATIONS.md || { echo "OPERATIONS.md missing $v"; exit 1; }
 done
+# Reverse doc drift gate: every IDBOX_* name OPERATIONS.md documents
+# must still appear in the code, so a deleted knob cannot linger in
+# the docs.
+for v in $(grep -hoE 'IDBOX_[A-Z0-9_]+' OPERATIONS.md | sort -u); do
+  grep -rq "$v" crates --include='*.rs' || { echo "OPERATIONS.md documents $v, which no crate mentions"; exit 1; }
+done
+# Library crates read no environment: settings reach them through
+# config fields, constructors and setters. Only the harness crates
+# (bench, benchkit, testkit) may read environment variables.
+if grep -rn 'env::var' crates/*/src --include='*.rs' | grep -vE '^crates/(bench|benchkit|testkit)/'; then
+  echo "a library crate reads the environment (above); use a config field, constructor or setter"
+  exit 1
+fi
 # The whole workspace lints clean across all targets (tests, benches,
 # bins), and the API docs build without warnings.
 cargo clippy --workspace --all-targets -- -D warnings

@@ -25,6 +25,7 @@
 //!   ≥ 1.5 at 4 clients; skipped (not weakened) on hosts with fewer
 //!   than 4 cores, where the ratio cannot mean what it asserts.
 
+use idbox_bench::{env_list, env_u64};
 use idbox_interpose::{share, AllowAll, GuestCtx, SharedKernel, Supervisor};
 use idbox_kernel::{Kernel, OpenFlags, Whence};
 use idbox_types::Identity;
@@ -35,13 +36,6 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 const FILES_PER_CLIENT: usize = 8;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Where the time went: per-domain lock-wait deltas across one level,
 /// matched by domain name (a domain registered mid-run has no earlier
@@ -121,11 +115,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let window = Duration::from_millis(env_u64("IDBOX_BENCH_WINDOW_MS", 400));
     let warmup = (window / 4).max(Duration::from_millis(50));
-    let levels: Vec<usize> = std::env::var("IDBOX_BENCH_LEVELS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
+    let levels: Vec<usize> = env_list("IDBOX_BENCH_LEVELS", &[1, 2, 4, 8]);
 
     let k = Kernel::new();
     let root = k.vfs().root();

@@ -22,10 +22,9 @@
 //! MiB/s at some size >= 1 MiB — skipped on single-core hosts, where
 //! client and server contend for one hardware thread.
 
-use idbox_acl::{Acl, Rights};
-use idbox_auth::{CertificateAuthority, ClientCredential, ServerVerifier};
-use idbox_chirp::{ChirpClient, ChirpServer, ServerConfig};
-use idbox_types::AuthMethod;
+use idbox_auth::{CertificateAuthority, ClientCredential};
+use idbox_bench::{env_list, env_u64, spawn_server};
+use idbox_chirp::{ChirpClient, ServerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -62,29 +61,12 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const WINDOW_MS: u64 = 800;
 const MIB: f64 = (1u64 << 20) as f64;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn server(copy_data_plane: bool) -> (idbox_chirp::ChirpServerHandle, CertificateAuthority) {
-    let ca = CertificateAuthority::new("/O=UnivNowhere CA", 0xBE7C4);
-    let mut verifier = ServerVerifier::new();
-    verifier.accept = vec![AuthMethod::Globus];
-    verifier.cas.trust(ca.clone());
-    let mut root_acl = Acl::empty();
-    root_acl.set_reserve("globus:/O=UnivNowhere/*", Rights::LIST, Rights::RWLAX);
-    let s = ChirpServer::new(ServerConfig {
+    spawn_server(ServerConfig {
         name: "dataplane".into(),
-        verifier,
-        root_acl,
         copy_data_plane,
         ..Default::default()
     })
-    .unwrap();
-    (s.spawn().unwrap(), ca)
 }
 
 fn connect(handle: &idbox_chirp::ChirpServerHandle, ca: &CertificateAuthority) -> ChirpClient {
@@ -119,11 +101,10 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let window = Duration::from_millis(env_u64("IDBOX_BENCH_WINDOW_MS", WINDOW_MS));
     let warmup = (window / 4).max(Duration::from_millis(50));
-    let sizes: Vec<usize> = std::env::var("IDBOX_DATAPLANE_SIZES")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![4 << 10, 64 << 10, 1 << 20, 8 << 20, 64 << 20]);
+    let sizes: Vec<usize> = env_list(
+        "IDBOX_DATAPLANE_SIZES",
+        &[4 << 10, 64 << 10, 1 << 20, 8 << 20, 64 << 20],
+    );
 
     let (zc_handle, zc_ca) = server(false);
     let (cp_handle, cp_ca) = server(true);

@@ -30,6 +30,7 @@
 //!   hosts; on a healthy device it fails, because then the miss is a
 //!   real append/flush-path regression.
 
+use idbox_bench::env_u64;
 use idbox_interpose::{share, AllowAll, GuestCtx, SharedKernel, Supervisor};
 use idbox_kernel::{Kernel, OpenFlags, Whence};
 use idbox_types::Identity;
@@ -40,13 +41,6 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 const FILES: usize = 8;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// One durability mode under test.
 struct Mode {

@@ -27,39 +27,14 @@
 //! at depth >= 16 clears 5x serial — skipped on single-core hosts,
 //! where client and server contend for one hardware thread.
 
-use idbox_acl::{Acl, Rights};
-use idbox_auth::{CertificateAuthority, ClientCredential, ServerVerifier};
-use idbox_chirp::{BatchOp, ChirpClient, ChirpServer, ServerConfig};
+use idbox_auth::ClientCredential;
+use idbox_bench::{env_list, env_u64, spawn_server};
+use idbox_chirp::{BatchOp, ChirpClient, ServerConfig};
 use idbox_obs::{lag_percentile_from, LOOP_LAG_BUCKETS};
-use idbox_types::AuthMethod;
 use std::time::{Duration, Instant};
 
 const WINDOW_MS: u64 = 1500;
 const FILE: &str = "/bench/data.dat";
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn server() -> (idbox_chirp::ChirpServerHandle, CertificateAuthority) {
-    let ca = CertificateAuthority::new("/O=UnivNowhere CA", 0xBE7C4);
-    let mut verifier = ServerVerifier::new();
-    verifier.accept = vec![AuthMethod::Globus];
-    verifier.cas.trust(ca.clone());
-    let mut root_acl = Acl::empty();
-    root_acl.set_reserve("globus:/O=UnivNowhere/*", Rights::LIST, Rights::RWLAX);
-    let s = ChirpServer::new(ServerConfig {
-        name: "pipeline".into(),
-        verifier,
-        root_acl,
-        ..Default::default()
-    })
-    .unwrap();
-    (s.spawn().unwrap(), ca)
-}
 
 /// Serial baseline: one `stat` per round trip, v1 style.
 fn run_serial(c: &mut ChirpClient, window: Duration) -> f64 {
@@ -109,13 +84,12 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let window = Duration::from_millis(env_u64("IDBOX_BENCH_WINDOW_MS", WINDOW_MS));
     let warmup = (window / 4).max(Duration::from_millis(50));
-    let depths: Vec<usize> = std::env::var("IDBOX_PIPELINE_DEPTH")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![4, 16, 64]);
+    let depths: Vec<usize> = env_list("IDBOX_PIPELINE_DEPTH", &[4, 16, 64]);
 
-    let (handle, ca) = server();
+    let (handle, ca) = spawn_server(ServerConfig {
+        name: "pipeline".into(),
+        ..Default::default()
+    });
     let creds = vec![ClientCredential::Globus(ca.issue("/O=UnivNowhere/CN=Fred"))];
     let mut c = ChirpClient::connect(handle.addr(), &creds).unwrap();
     c.mkdir("/bench", 0o755).unwrap();

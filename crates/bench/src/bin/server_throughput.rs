@@ -47,6 +47,7 @@
 
 use idbox_acl::{Acl, Rights};
 use idbox_auth::{CertificateAuthority, ClientCredential, ServerVerifier};
+use idbox_bench::{env_list, env_u64, spawn_server};
 use idbox_chirp::{ChirpClient, ChirpServer, RetryPolicy, ServerConfig};
 use idbox_kernel::OpenFlags;
 use idbox_testkit::fault::{FaultPlan, FaultProxy};
@@ -65,21 +66,11 @@ const REQS_PER_ROUND: u64 = 3 + PREADS;
 const WINDOW_MS: u64 = 1500;
 
 fn server() -> (idbox_chirp::ChirpServerHandle, CertificateAuthority) {
-    let ca = CertificateAuthority::new("/O=UnivNowhere CA", 0xBE7C4);
-    let mut verifier = ServerVerifier::new();
-    verifier.accept = vec![AuthMethod::Globus];
-    verifier.cas.trust(ca.clone());
-    let mut root_acl = Acl::empty();
-    root_acl.set_reserve("globus:/O=UnivNowhere/*", Rights::LIST, Rights::RWLAX);
-    let s = ChirpServer::new(ServerConfig {
+    spawn_server(ServerConfig {
         name: "throughput".into(),
-        verifier,
-        root_acl,
         admins: vec![format!("globus:{ADMIN}")],
         ..Default::default()
     })
-    .unwrap();
-    (s.spawn().unwrap(), ca)
 }
 
 const ADMIN: &str = "/O=UnivNowhere/CN=Admin";
@@ -160,13 +151,6 @@ fn hit_pct(hits: u64, misses: u64) -> f64 {
     } else {
         100.0 * hits as f64 / (hits + misses) as f64
     }
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// One row of the degradation-under-faults sweep.
@@ -475,11 +459,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let window = Duration::from_millis(env_u64("IDBOX_BENCH_WINDOW_MS", WINDOW_MS));
     let warmup = (window / 4).max(Duration::from_millis(50));
-    let levels: Vec<usize> = std::env::var("IDBOX_BENCH_LEVELS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
+    let levels: Vec<usize> = env_list("IDBOX_BENCH_LEVELS", &[1, 2, 4, 8]);
     let (handle, ca) = server();
     let addr = handle.addr();
     let admin_creds = vec![ClientCredential::Globus(ca.issue(ADMIN))];

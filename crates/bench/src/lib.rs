@@ -5,10 +5,13 @@
 //! a Criterion bench. Measured rows are also appended as TSV under
 //! `results/` at the workspace root so EXPERIMENTS.md can cite them.
 
+use idbox_acl::{Acl, Rights};
+use idbox_auth::{CertificateAuthority, ServerVerifier};
+use idbox_chirp::{ChirpServer, ChirpServerHandle, ServerConfig};
 use idbox_core::{BoxOptions, IdentityBox};
 use idbox_interpose::{share, GuestCtx, Supervisor};
 use idbox_kernel::{Account, Kernel};
-use idbox_types::CostModel;
+use idbox_types::{AuthMethod, CostModel};
 use idbox_vfs::Cred;
 use idbox_workloads::micro::{self, MicroCase};
 use std::io::Write;
@@ -199,6 +202,45 @@ pub fn write_text(name: &str, contents: &str) {
     if std::fs::write(&path, contents).is_ok() {
         eprintln!("(results written to {})", path.display());
     }
+}
+
+/// A numeric harness knob from the environment, or `default` when it
+/// is unset or not a number.
+pub fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// A comma-separated list knob from the environment (unparsable items
+/// skipped), or `default` when it is unset or yields nothing.
+pub fn env_list(name: &str, default: &[usize]) -> Vec<usize> {
+    std::env::var(name)
+        .ok()
+        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
+        .filter(|v: &Vec<usize>| !v.is_empty())
+        .unwrap_or_else(|| default.to_vec())
+}
+
+/// Spawn a Chirp server for a wire harness: Globus-only authentication
+/// trusting a fresh `/O=UnivNowhere` CA (returned, to issue client
+/// certificates), and a root ACL that lets its holders list and reserve
+/// directories with full rights. `config` supplies everything else.
+pub fn spawn_server(config: ServerConfig) -> (ChirpServerHandle, CertificateAuthority) {
+    let ca = CertificateAuthority::new("/O=UnivNowhere CA", 0xBE7C4);
+    let mut verifier = ServerVerifier::new();
+    verifier.accept = vec![AuthMethod::Globus];
+    verifier.cas.trust(ca.clone());
+    let mut root_acl = Acl::empty();
+    root_acl.set_reserve("globus:/O=UnivNowhere/*", Rights::LIST, Rights::RWLAX);
+    let s = ChirpServer::new(ServerConfig {
+        verifier,
+        root_acl,
+        ..config
+    })
+    .unwrap();
+    (s.spawn().unwrap(), ca)
 }
 
 /// A standard bench-quality cost model: calibrate quickly toward the

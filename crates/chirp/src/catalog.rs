@@ -31,6 +31,15 @@ pub struct ServerInfo {
     pub seq: u64,
 }
 
+/// Read/write timeout on every accepted catalog connection. The
+/// catalog serves one request at a time, so a client that connects and
+/// stays silent holds it for at most this long.
+const SERVE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Read/write timeout on the `register`/`list` client sockets: long
+/// enough to outlast one silent client queued ahead of the request.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
+
 #[derive(Default)]
 struct CatalogState {
     servers: BTreeMap<String, ServerInfo>,
@@ -49,21 +58,21 @@ impl Catalog {
     pub fn spawn() -> std::io::Result<Catalog> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let state = Arc::new(Mutex::new(CatalogState::default()));
-        let join = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = handle(stream, &state);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
+        let join = std::thread::spawn(move || loop {
+            let accepted = listener.accept();
+            // Drop wakes this blocking `accept` with a self-connect
+            // after setting `stop`.
+            if stop2.load(Ordering::Relaxed) {
+                break;
+            }
+            match accepted {
+                Ok((stream, _)) => {
+                    let _ = handle(stream, &state);
                 }
+                Err(_) => break,
             }
         });
         Ok(Catalog {
@@ -82,13 +91,19 @@ impl Catalog {
 impl Drop for Catalog {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        // A thread the self-connect cannot reach is left detached
+        // rather than joined, so drop cannot hang.
+        let woke = TcpStream::connect(self.addr).is_ok();
         if let Some(j) = self.join.take() {
-            let _ = j.join();
+            if woke {
+                let _ = j.join();
+            }
         }
     }
 }
 
 fn handle(stream: TcpStream, state: &Mutex<CatalogState>) -> SysResult<()> {
+    set_timeouts(&stream, SERVE_TIMEOUT)?;
     let mut reader = BufReader::new(stream.try_clone().map_err(|_| Errno::EIO)?);
     let mut writer = stream;
     let line = codec::read_line(&mut reader)?;
@@ -123,9 +138,25 @@ fn handle(stream: TcpStream, state: &Mutex<CatalogState>) -> SysResult<()> {
     }
 }
 
+/// Bound both directions of `stream` (the clone used for reading
+/// shares the socket, so it inherits them).
+fn set_timeouts(stream: &TcpStream, timeout: Duration) -> SysResult<()> {
+    stream
+        .set_read_timeout(Some(timeout))
+        .and_then(|_| stream.set_write_timeout(Some(timeout)))
+        .map_err(|_| Errno::EIO)
+}
+
+/// Connect a client socket to the catalog.
+fn connect(catalog: SocketAddr) -> SysResult<TcpStream> {
+    let stream = TcpStream::connect(catalog).map_err(|_| Errno::ECONNREFUSED)?;
+    set_timeouts(&stream, CLIENT_TIMEOUT)?;
+    Ok(stream)
+}
+
 /// Report a server to a catalog.
 pub fn register(catalog: SocketAddr, server_addr: &str, name: &str) -> SysResult<()> {
-    let stream = TcpStream::connect(catalog).map_err(|_| Errno::ECONNREFUSED)?;
+    let stream = connect(catalog)?;
     let mut reader = BufReader::new(stream.try_clone().map_err(|_| Errno::EIO)?);
     let mut writer = stream;
     codec::write_line(
@@ -138,7 +169,7 @@ pub fn register(catalog: SocketAddr, server_addr: &str, name: &str) -> SysResult
 
 /// Fetch the advertised server list.
 pub fn list(catalog: SocketAddr) -> SysResult<Vec<ServerInfo>> {
-    let stream = TcpStream::connect(catalog).map_err(|_| Errno::ECONNREFUSED)?;
+    let stream = connect(catalog)?;
     let mut reader = BufReader::new(stream.try_clone().map_err(|_| Errno::EIO)?);
     let mut writer = stream;
     codec::write_line(&mut writer, "list")?;

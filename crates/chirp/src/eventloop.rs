@@ -35,7 +35,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Maximum bytes pulled off one socket per readiness cycle, so a
@@ -66,20 +66,10 @@ const FLUSH_IOVEC_MAX: usize = 64;
 /// frames.
 const POOL_MAX_BUFS: usize = 4;
 
-/// Largest buffer capacity the inbound payload pool retains, resolved
-/// once per process from `IDBOX_PAYLOAD_POOL_KIB` (0 disables pooling;
-/// default 256 KiB). Oversized buffers are freed after dispatch so one
-/// huge `put` cannot pin its high-water allocation forever.
-fn payload_pool_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("IDBOX_PAYLOAD_POOL_KIB")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|kib| kib.saturating_mul(1024))
-            .unwrap_or(256 * 1024)
-    })
-}
+/// Largest buffer capacity the inbound payload pool retains (256 KiB).
+/// Oversized buffers are freed after dispatch so one huge `put` cannot
+/// pin its high-water allocation forever.
+const POOL_MAX_BUF_BYTES: usize = 256 * 1024;
 
 /// Maximum sub-operations accepted in one `batch` frame.
 pub(crate) const BATCH_MAX_OPS: usize = 4096;
@@ -820,8 +810,9 @@ impl Conn {
     /// grew past the pool cap.
     fn recycle_payload(&mut self, mut buf: Vec<u8>) {
         buf.clear();
-        let cap = payload_pool_cap();
-        if self.payload_pool.len() < POOL_MAX_BUFS && buf.capacity() > 0 && buf.capacity() <= cap
+        if self.payload_pool.len() < POOL_MAX_BUFS
+            && buf.capacity() > 0
+            && buf.capacity() <= POOL_MAX_BUF_BYTES
         {
             self.payload_pool.push(buf);
         }

@@ -77,45 +77,42 @@ pub struct ServerConfig {
     /// cannot hang the embedding process (or CI) forever.
     pub drain_deadline: Duration,
     /// Event-loop worker threads multiplexing connections. `0` (the
-    /// default) resolves from `IDBOX_EVENT_LOOPS`, falling back to the
-    /// host's parallelism clamped to [2, 8]. At least two workers run
-    /// even on one core, so a long-running dispatch (a slow `exec`)
-    /// never blocks every other connection.
+    /// default) means the host's parallelism clamped to [2, 8]. At
+    /// least two workers run even on one core, so a long-running
+    /// dispatch (a slow `exec`) never blocks every other connection.
     pub event_loops: usize,
     /// Soft watchdog budget for one event-loop readiness cycle. A
     /// worker whose cycle (readiness → dispatch → flush) exceeds the
     /// budget bumps its stall counter and emits a rate-limited
-    /// `loop-stall` audit row. `None` (the default) resolves from
-    /// `IDBOX_LOOP_STALL_MS` (unset or 0 disables the watchdog).
+    /// `loop-stall` audit row. `None` (the default) and
+    /// `Some(Duration::ZERO)` disable the watchdog.
     pub loop_stall: Option<Duration>,
     /// Ablation switch for the zero-copy data plane: when set, `get`
     /// and `pread` fall back to the copying read path (flat buffer
     /// materialized under the shard lock, then copied into the
     /// connection's write buffer), so the extent pipeline can be A/B
     /// benchmarked against the pre-extent behaviour. `false` (the
-    /// default) also consults `IDBOX_DATAPLANE_COPY` (set to 1 to force
-    /// the copying path at startup).
+    /// default) serves reads zero-copy.
     pub copy_data_plane: bool,
-    /// Directory for the write-ahead log. When set (or when
-    /// `IDBOX_WAL_DIR` names a directory), every namespace and account
-    /// mutation is logged to disk and replayed on the next boot, so the
-    /// export space survives a restart or crash. `None` with the env
-    /// unset (the in-memory default) keeps the kernel volatile.
+    /// Directory for the write-ahead log. When set, every namespace and
+    /// account mutation is logged to disk and replayed on the next
+    /// boot, so the export space survives a restart or crash. `None`
+    /// (the in-memory default) keeps the kernel volatile.
     pub wal_dir: Option<std::path::PathBuf>,
     /// Group-commit burst backstop: the flusher is woken early once
-    /// this many records are dirty (the `IDBOX_WAL_SYNC_MS` tick is the
-    /// primary pacing). `Some(0)` = fsync every append (strictest).
-    /// `None` resolves from `IDBOX_WAL_SYNC_OPS`, default 65536.
-    pub wal_sync_ops: Option<u64>,
+    /// this many records are dirty (the `wal_sync_ms` tick is the
+    /// primary pacing). `0` = fsync every append (strictest). Default
+    /// 65536.
+    pub wal_sync_ops: u64,
     /// Group-commit interval: a background flusher fsyncs dirty records
     /// at least this often, in milliseconds. Ignored when syncing every
-    /// op. `None` resolves from `IDBOX_WAL_SYNC_MS`, default 25.
-    pub wal_sync_ms: Option<u64>,
+    /// op. Default 25.
+    pub wal_sync_ms: u64,
     /// Auto-snapshot cadence: snapshot + truncate the log whenever this
-    /// many records have accumulated since the last snapshot. `Some(0)`
-    /// disables auto-snapshots (the `walsnap` RPC still works). `None`
-    /// resolves from `IDBOX_WAL_SNAPSHOT_OPS`, default 10000.
-    pub wal_snapshot_ops: Option<u64>,
+    /// many records have accumulated since the last snapshot. `0`
+    /// disables auto-snapshots (the `walsnap` RPC still works). Default
+    /// 10000.
+    pub wal_snapshot_ops: u64,
 }
 
 impl Default for ServerConfig {
@@ -144,80 +141,11 @@ impl Default for ServerConfig {
             loop_stall: None,
             copy_data_plane: false,
             wal_dir: None,
-            wal_sync_ops: None,
-            wal_sync_ms: None,
-            wal_snapshot_ops: None,
+            wal_sync_ops: 65536,
+            wal_sync_ms: 25,
+            wal_snapshot_ops: 10_000,
         }
     }
-}
-
-/// Resolve the WAL directory: explicit config wins, then the
-/// `IDBOX_WAL_DIR` environment knob (unset or empty = durability off).
-fn resolve_wal_dir(configured: &Option<std::path::PathBuf>) -> Option<std::path::PathBuf> {
-    if configured.is_some() {
-        return configured.clone();
-    }
-    std::env::var("IDBOX_WAL_DIR")
-        .ok()
-        .map(|v| v.trim().to_string())
-        .filter(|v| !v.is_empty())
-        .map(std::path::PathBuf::from)
-}
-
-/// Resolve a numeric WAL knob: explicit config wins, then the named
-/// environment variable, then the default. Zero is a meaningful value
-/// (sync-every-op / auto-snapshot off), not "unset".
-fn resolve_wal_knob(configured: Option<u64>, env: &str, default: u64) -> u64 {
-    if let Some(v) = configured {
-        return v;
-    }
-    std::env::var(env)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(default)
-}
-
-/// Resolve the data-plane ablation switch: explicit config wins, then
-/// the `IDBOX_DATAPLANE_COPY` environment knob (1 = copying path).
-fn resolve_copy_data_plane(configured: bool) -> bool {
-    configured
-        || std::env::var("IDBOX_DATAPLANE_COPY")
-            .ok()
-            .and_then(|v| v.trim().parse::<u8>().ok())
-            .is_some_and(|v| v != 0)
-}
-
-/// Resolve the stall-watchdog budget: explicit config wins, then the
-/// `IDBOX_LOOP_STALL_MS` environment knob; unset or 0 disables.
-fn resolve_loop_stall(configured: Option<Duration>) -> Option<Duration> {
-    if let Some(d) = configured {
-        return (d > Duration::ZERO).then_some(d);
-    }
-    std::env::var("IDBOX_LOOP_STALL_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .map(Duration::from_millis)
-}
-
-/// Resolve the worker count: explicit config wins, then the
-/// `IDBOX_EVENT_LOOPS` environment knob, then host parallelism clamped
-/// to [2, 8].
-fn resolve_event_loops(configured: usize) -> usize {
-    if configured > 0 {
-        return configured;
-    }
-    if let Some(n) = std::env::var("IDBOX_EVENT_LOOPS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(2, 8)
 }
 
 /// Live-connection registry: duplicated stream handles keyed by a
@@ -259,19 +187,18 @@ impl ChirpServer {
     pub fn new(config: ServerConfig) -> SysResult<Self> {
         // Durable mode: boot the kernel from the WAL directory's
         // snapshot + log instead of from scratch.
-        let wal_dir = resolve_wal_dir(&config.wal_dir);
-        let (k, recovery) = match &wal_dir {
+        let (k, recovery) = match &config.wal_dir {
             Some(dir) => {
                 let mut wal_cfg = idbox_vfs::WalConfig::new(dir.clone());
-                wal_cfg.sync_ops = resolve_wal_knob(config.wal_sync_ops, "IDBOX_WAL_SYNC_OPS", 65536);
-                wal_cfg.sync_ms = resolve_wal_knob(config.wal_sync_ms, "IDBOX_WAL_SYNC_MS", 25);
+                wal_cfg.sync_ops = config.wal_sync_ops;
+                wal_cfg.sync_ms = config.wal_sync_ms;
                 let (k, report) = Kernel::with_durability(wal_cfg).map_err(|_| Errno::EIO)?;
                 (k, Some(report))
             }
             None => (Kernel::new(), None),
         };
-        let wal_snapshot_every = if wal_dir.is_some() {
-            resolve_wal_knob(config.wal_snapshot_ops, "IDBOX_WAL_SNAPSHOT_OPS", 10_000)
+        let wal_snapshot_every = if config.wal_dir.is_some() {
+            config.wal_snapshot_ops
         } else {
             0
         };
@@ -354,7 +281,13 @@ impl ChirpServer {
         let inflight = Arc::new(AtomicU64::new(0));
         let conns: ConnRegistry = Arc::default();
         let conns2 = Arc::clone(&conns);
-        let n_workers = resolve_event_loops(self.config.event_loops);
+        let n_workers = match self.config.event_loops {
+            0 => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+                .clamp(2, 8),
+            n => n,
+        };
         let loop_stats = Arc::new(idbox_obs::LoopStats::new(n_workers));
         // First server in the process wires the lock shim's contention
         // hook into the flight recorder (idempotent).
@@ -370,7 +303,7 @@ impl ChirpServer {
             inflight: Arc::clone(&inflight),
             busy_watermark: self.config.busy_watermark,
             max_inflight_per_identity: self.config.max_inflight_per_identity,
-            copy_data_plane: resolve_copy_data_plane(self.config.copy_data_plane),
+            copy_data_plane: self.config.copy_data_plane,
         };
         let lc = Arc::new(LoopCtx {
             ctl,
@@ -379,7 +312,7 @@ impl ChirpServer {
             sup_cred: self.sup_cred,
             io_timeout: self.config.io_timeout,
             conns: Arc::clone(&conns),
-            stall_budget: resolve_loop_stall(self.config.loop_stall),
+            stall_budget: self.config.loop_stall.filter(|d| !d.is_zero()),
         });
         let workers = eventloop::spawn_workers(n_workers, lc, Arc::clone(&stop))?;
         let wakers: Vec<WorkerHandle> = workers

@@ -45,8 +45,8 @@ fn durable_config(dir: &Path) -> ServerConfig {
         root_acl: root_acl(),
         admins: vec!["globus:/O=UnivNowhere/CN=Admin".to_string()],
         wal_dir: Some(dir.to_path_buf()),
-        wal_sync_ops: Some(0),
-        wal_snapshot_ops: Some(0),
+        wal_sync_ops: 0,
+        wal_snapshot_ops: 0,
         ..Default::default()
     }
 }

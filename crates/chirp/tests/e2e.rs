@@ -373,6 +373,30 @@ fn catalog_discovery_roundtrip() {
     handle.shutdown();
 }
 
+/// A client that connects to the catalog and never sends a byte cannot
+/// wedge it: a second client's `register` + `list` still finish. The
+/// calls run on a helper thread so a wedged catalog fails the deadline
+/// instead of hanging the test.
+#[test]
+fn silent_client_does_not_wedge_catalog() {
+    let cat = catalog::Catalog::spawn().unwrap();
+    let _silent = std::net::TcpStream::connect(cat.addr()).unwrap();
+    let addr = cat.addr();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let res = catalog::register(addr, "127.0.0.1:9094", "after-silent")
+            .and_then(|()| catalog::list(addr));
+        let _ = tx.send(res);
+    });
+    let servers = rx
+        .recv_timeout(std::time::Duration::from_secs(4))
+        .expect("register + list did not finish behind a silent client")
+        .unwrap();
+    helper.join().unwrap();
+    assert_eq!(servers.len(), 1);
+    assert_eq!(servers[0].name, "after-silent");
+}
+
 #[test]
 fn concurrent_clients_share_one_server() {
     let (handle, ca) = spawn_figure3_server();

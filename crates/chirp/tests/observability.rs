@@ -286,7 +286,7 @@ fn pipelined_request_trace_joins_client_loop_and_policy_planes() {
 
 /// The per-thread rings hold to their byte budget no matter how much
 /// traffic pours through: after a 10k-RPC storm every ring is at or
-/// under `IDBOX_TRACE_RING_KB` (the 256 KiB default here).
+/// under the 256 KiB `flight::ring_budget_bytes()` per-thread budget.
 #[test]
 fn flight_rings_stay_bounded_under_rpc_storm() {
     let (handle, ca) = spawn_observed("storm");

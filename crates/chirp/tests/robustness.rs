@@ -189,18 +189,41 @@ fn sample(text: &str, head: &str) -> f64 {
         .unwrap_or_else(|| panic!("no sample {head:?} in:\n{text}"))
 }
 
-/// One identity over its concurrency cap is shed with EAGAIN while its
-/// long RPC runs; a retrying client masks the shed, and both the shed
-/// and the retries are visible in Prometheus and the audit ring.
+/// Both shed reasons, each while client A's long RPC holds the only
+/// slot: one identity over its concurrency cap (client B is Fred, like
+/// A), and the server-wide busy watermark (client B is another
+/// identity). B is shed with EAGAIN; a retrying client masks the shed,
+/// and both the shed and the retries are visible in Prometheus and the
+/// audit ring.
 #[test]
 fn per_identity_limit_sheds_and_retry_masks_it() {
+    let identity_limit = ServerConfig {
+        max_inflight_per_identity: Some(1),
+        ..Default::default()
+    };
+    shed_and_retry_case(
+        identity_limit,
+        "/O=UnivNowhere/CN=Fred",
+        "/work/sleep.exe",
+        "identity-limit",
+    );
+    let busy = ServerConfig {
+        busy_watermark: Some(1),
+        ..Default::default()
+    };
+    shed_and_retry_case(busy, "/O=UnivNowhere/CN=Barney", "/work", "busy");
+}
+
+/// One case of [`per_identity_limit_sheds_and_retry_masks_it`]: a
+/// server with `limits`, client B authenticated as `b_subject` and
+/// stat-ing `b_path`, and the shed `reason` its audit row must carry.
+fn shed_and_retry_case(limits: ServerConfig, b_subject: &str, b_path: &str, reason: &str) {
     let (ca, verifier) = gsi_setup();
     let mut server = ChirpServer::new(ServerConfig {
         name: "limited".to_string(),
         verifier,
         root_acl: root_acl(),
-        max_inflight_per_identity: Some(1),
-        ..Default::default()
+        ..limits
     })
     .unwrap();
     server.register_program("sleeper", |_, args| {
@@ -215,15 +238,15 @@ fn per_identity_limit_sheds_and_retry_masks_it() {
     a.put_mode("/work/sleep.exe", b"#!guest sleeper\n", 0o755)
         .unwrap();
 
-    // A holds Fred's one slot for ~600 ms...
+    // A holds the one slot for ~600 ms...
     let exec = std::thread::spawn(move || {
         a.exec("/work/sleep.exe", &["600"]).unwrap();
         a
     });
     std::thread::sleep(Duration::from_millis(150));
 
-    // ...so B (same identity) is shed — and a patient retry policy
-    // masks the shed entirely.
+    // ...so B is shed — and a patient retry policy masks the shed
+    // entirely.
     let patient = RetryPolicy {
         max_attempts: 100,
         base_delay: Duration::from_millis(10),
@@ -231,8 +254,9 @@ fn per_identity_limit_sheds_and_retry_masks_it() {
         budget: Duration::from_secs(10),
         ..test_policy()
     };
-    let mut b = ChirpClient::connect_with(handle.addr(), &fred_creds(&ca), patient).unwrap();
-    assert!(b.stat("/work/sleep.exe").is_ok());
+    let b_creds = vec![ClientCredential::Globus(ca.issue(b_subject))];
+    let mut b = ChirpClient::connect_with(handle.addr(), &b_creds, patient).unwrap();
+    assert!(b.stat(b_path).is_ok());
     assert!(b.retries() >= 1, "the shed should have forced a retry");
     let a = exec.join().unwrap();
 
@@ -240,9 +264,10 @@ fn per_identity_limit_sheds_and_retry_masks_it() {
     // counters in the Prometheus exposition, and an `rpc-shed` row in
     // the same audit ring as every policy ruling.
     let text = handle.metrics().render_prometheus();
-    let fred = format!("identity=\"{FRED}\"");
-    assert!(sample(&text, &format!("idbox_rpcs_shed_total{{{fred}}}")) >= 1.0);
-    assert!(sample(&text, &format!("idbox_rpcs_retried_total{{{fred}}}")) >= 1.0);
+    let b_identity = format!("globus:{b_subject}");
+    let label = format!("identity=\"{b_identity}\"");
+    assert!(sample(&text, &format!("idbox_rpcs_shed_total{{{label}}}")) >= 1.0);
+    assert!(sample(&text, &format!("idbox_rpcs_retried_total{{{label}}}")) >= 1.0);
     let shed_rows: Vec<_> = handle
         .audit_ring()
         .snapshot()
@@ -251,11 +276,11 @@ fn per_identity_limit_sheds_and_retry_masks_it() {
         .collect();
     assert!(!shed_rows.is_empty(), "shed must be audited");
     let row = &shed_rows[0];
-    assert_eq!(row.identity, FRED);
+    assert_eq!(row.identity, b_identity.as_str());
     assert_eq!(row.verdict, Verdict::Deny);
     assert_eq!(row.errno, Some(Errno::EAGAIN));
     assert!(
-        row.path.as_deref().unwrap_or("").contains("identity-limit"),
+        row.path.as_deref().unwrap_or("").contains(reason),
         "{row:?}"
     );
     a.quit().unwrap();

@@ -69,22 +69,14 @@ use idbox_vfs::wal::{AccountOp, RecoveryReport, Wal, WalConfig, WalRecordRef};
 use idbox_vfs::{path as vpath, Access, Cred, ExtentList, FileKind, Ino, Vfs};
 use parking_lot::{ProfiledMutex, ProfiledRwLock, ShardSet};
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The initial process (everything reparents to it).
 const INIT: Pid = Pid(1);
 
-/// Process-table shard count: `IDBOX_PROC_SHARDS` (clamped to 1..=1024),
-/// default 8. Read once per process.
-fn default_proc_shards() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("IDBOX_PROC_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map_or(8, |n| n.clamp(1, 1024))
-    })
-}
+/// Process-table shard count for [`Kernel::new`] and the durable
+/// constructors; [`Kernel::with_shards`] picks another.
+const DEFAULT_PROC_SHARDS: usize = 8;
 
 /// The pid allocator: a wrapping counter over `[2, max_pid]` plus a
 /// reservation set for pids handed out but not yet inserted into the
@@ -199,7 +191,7 @@ impl Kernel {
     /// `/home`, `/tmp`, `/root`, `/bin`), system accounts, an
     /// `/etc/passwd` file, and an init process (pid 1) running as root.
     pub fn new() -> Self {
-        Self::build(Vfs::new(), default_proc_shards())
+        Self::build(Vfs::new(), DEFAULT_PROC_SHARDS)
     }
 
     /// A kernel with an explicit shard count for both the vfs and the
@@ -251,7 +243,7 @@ impl Kernel {
                 }
                 // Resume logging on the restored namespace.
                 vfs.set_wal(Some(Arc::clone(&wal)));
-                Self::assemble(vfs, accounts, default_proc_shards())
+                Self::assemble(vfs, accounts, DEFAULT_PROC_SHARDS)
             }
             None => {
                 // First boot: arm the log *before* the standard layout
@@ -261,7 +253,7 @@ impl Kernel {
                 let mut vfs = Vfs::new();
                 vfs.set_wal(Some(Arc::clone(&wal)));
                 let accounts = Self::layout(&vfs);
-                Self::assemble(vfs, accounts, default_proc_shards())
+                Self::assemble(vfs, accounts, DEFAULT_PROC_SHARDS)
             }
         };
         wal.start_flusher();

@@ -5,8 +5,8 @@
 //! mutex that is only ever `try_lock`ed on the record path, so a
 //! concurrent drain can never block a worker — the event is dropped
 //! and counted instead). Rings are bounded by a byte budget
-//! (`IDBOX_TRACE_RING_KB` per thread, default 256, 0 disables): when
-//! a push would exceed the budget the oldest events fall off. The
+//! ([`ring_budget_bytes`], 256 KiB per thread): when a push would
+//! exceed the budget the oldest events fall off. The
 //! recorder therefore never grows without bound and never stalls the
 //! hot path; its failure mode under pressure is forgetting the oldest
 //! history, which is exactly what a flight recorder should do.
@@ -26,7 +26,7 @@ use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The name of a [`FlightEvent`]. Names known at compile time (syscall
 /// names, phases, wire verbs) and shard coordinates are stored without
@@ -122,26 +122,19 @@ static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Per-thread ring byte budget: `IDBOX_TRACE_RING_KB` (default 256,
-/// 0 disables recording entirely). Read once per process.
-pub fn ring_budget_bytes() -> usize {
-    static B: OnceLock<usize> = OnceLock::new();
-    *B.get_or_init(|| {
-        std::env::var("IDBOX_TRACE_RING_KB")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(256)
-            .saturating_mul(1024)
-    })
+/// Per-thread ring byte budget: 256 KiB.
+pub const fn ring_budget_bytes() -> usize {
+    256 * 1024
 }
 
-/// Runtime kill switch (the bench overhead gate flips this).
+/// The recorder's only kill switch (the bench overhead gate flips
+/// this).
 pub fn set_flight_enabled(on: bool) {
     ENABLED.store(on, Relaxed);
 }
 
 pub(crate) fn recording() -> bool {
-    ENABLED.load(Relaxed) && ring_budget_bytes() > 0
+    ENABLED.load(Relaxed)
 }
 
 /// Events discarded because a drain held the ring lock.

@@ -9,10 +9,9 @@
 //! fails (real contention) do we take an `Instant` pair around the
 //! blocking acquisition and bucket the wait.
 //!
-//! `IDBOX_LOCK_PROFILE=0` (or `false`/`off`) disables profiling at
-//! startup; [`set_lock_profiling`] toggles it at runtime (used by the
-//! bench overhead gate). Disabled means a single relaxed atomic load
-//! per acquisition and nothing else.
+//! Profiling starts on; [`set_lock_profiling`] toggles it at runtime
+//! (used by the bench overhead gate). Disabled means a single relaxed
+//! atomic load per acquisition and nothing else.
 //!
 //! This crate sits below `idbox-obs` in the dependency order, so
 //! rendering (Prometheus, flight-recorder joining) lives upstream:
@@ -43,24 +42,16 @@ fn bucket_of(us: u64) -> usize {
     b.min(LOCK_WAIT_BUCKETS - 1)
 }
 
-fn flag() -> &'static AtomicBool {
-    static F: OnceLock<AtomicBool> = OnceLock::new();
-    F.get_or_init(|| {
-        let on = std::env::var("IDBOX_LOCK_PROFILE")
-            .map(|v| !matches!(v.trim(), "0" | "false" | "off"))
-            .unwrap_or(true);
-        AtomicBool::new(on)
-    })
-}
+static PROFILING: AtomicBool = AtomicBool::new(true);
 
 /// Whether lock profiling is currently recording.
 pub fn lock_profiling_enabled() -> bool {
-    flag().load(Relaxed)
+    PROFILING.load(Relaxed)
 }
 
-/// Runtime override of the `IDBOX_LOCK_PROFILE` startup default.
+/// Turn lock profiling on or off (it starts on).
 pub fn set_lock_profiling(on: bool) {
-    flag().store(on, Relaxed);
+    PROFILING.store(on, Relaxed);
 }
 
 /// Callback invoked once per *contended* profiled acquisition — one

@@ -25,7 +25,7 @@ use std::sync::Arc;
 /// exactly one chunk per wire write.
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
 
-/// Bounds on configurable chunk sizes (see `IDBOX_VFS_CHUNK_KIB`).
+/// Bounds on configurable chunk sizes (see `Vfs::set_chunk_size`).
 pub const MIN_CHUNK_SIZE: usize = 512;
 /// Upper bound on configurable chunk sizes.
 pub const MAX_CHUNK_SIZE: usize = 16 * 1024 * 1024;

@@ -53,7 +53,7 @@ use idbox_types::{Errno, SysResult};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard, ShardSet};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Credentials used for Unix permission checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,34 +94,8 @@ const SYMLOOP_MAX: u32 = 40;
 /// with it, so no per-shard map grows past its slice.
 const DENTRY_CACHE_CAP: usize = 8192;
 
-/// Default shard count, overridable via `IDBOX_VFS_SHARDS` (clamped to
-/// 1..=1024). Read once; every `Vfs::new` in the process sees the same
-/// value.
-fn default_shard_count() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("IDBOX_VFS_SHARDS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .map_or(16, |n| n.clamp(1, 1024))
-    })
-}
-
-/// Default file chunk size, overridable via `IDBOX_VFS_CHUNK_KIB`
-/// (clamped to 1..=16384 KiB). Read once; every `Vfs::new` in the
-/// process sees the same value. Tests and benches that need a
-/// different granularity use [`Vfs::set_chunk_size`] instead.
-fn default_chunk_size() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("IDBOX_VFS_CHUNK_KIB")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .map_or(DEFAULT_CHUNK_SIZE, |kib| {
-                (kib * 1024).clamp(MIN_CHUNK_SIZE, MAX_CHUNK_SIZE)
-            })
-    })
-}
+/// Shard count for [`Vfs::new`]; [`Vfs::with_shards`] picks another.
+const DEFAULT_SHARDS: usize = 16;
 
 /// A bounded positive+negative directory-entry cache for one shard.
 ///
@@ -423,10 +397,9 @@ impl Clone for Vfs {
 
 impl Vfs {
     /// A fresh filesystem containing only a root directory owned by root
-    /// with mode `0o755`, with the default shard count (overridable via
-    /// the `IDBOX_VFS_SHARDS` environment variable).
+    /// with mode `0o755`, with the default shard count (16).
     pub fn new() -> Self {
-        Vfs::with_shards(default_shard_count())
+        Vfs::with_shards(DEFAULT_SHARDS)
     }
 
     /// A fresh filesystem with an explicit shard count (clamped to
@@ -451,7 +424,7 @@ impl Vfs {
             dcache_enabled: true,
             fault_armed: AtomicBool::new(false),
             fault_hook: RwLock::new(None),
-            chunk_size: default_chunk_size(),
+            chunk_size: DEFAULT_CHUNK_SIZE,
             wal: None,
         };
         let mut entries = BTreeMap::new();
