@@ -13,8 +13,9 @@ cargo build --release --offline --manifest-path idbench/Cargo.toml
 # make a run fail, so a change that blinds the benchmark fails here.
 cargo test --release --offline --manifest-path idbench/Cargo.toml
 cargo test -q
-# Observability subsystem: tracing/metrics units (idbox-obs),
-# histogram/audit-ring units, and the e2e suite covering the
+# Observability subsystem: tracing/metrics units and the byte-for-byte
+# golden exposition of the loop/lock histogram families (idbox-obs),
+# latency-table/audit-ring units, and the e2e suite covering the
 # stats/audit/metrics/slowops RPCs and the trace-id join.
 cargo test -q -p idbox-obs -p idbox-kernel -p idbox-core
 cargo test -q -p idbox-chirp --test e2e
@@ -23,8 +24,10 @@ cargo test -q -p idbox-chirp --test e2e
 # loop-stall watchdog, the health roll-up, and hostile-identity label
 # escaping in the lock/loop Prometheus families.
 cargo test -q -p idbox-chirp --test observability
-# Lock-profile units: log2 wait histograms, snapshot diffs, percentile
-# math, and the enable/disable kill switch.
+# idbox-sync units: the shared log2 histogram (bucket edges, the
+# unbounded top bucket, percentile, merge and saturating diff) and the
+# lock profile built on it (snapshot diffs, the contention hook, the
+# enable/disable kill switch).
 cargo test -q -p idbox-sync
 # Fast-path cache equivalence: the dentry cache and the ACL verdict
 # cache must be pure optimizations (cached and uncached resolution /
@@ -118,6 +121,13 @@ done
 # (bench, benchkit, testkit) may read environment variables.
 if grep -rn 'env::var' crates/*/src --include='*.rs' | grep -vE '^crates/(bench|benchkit|testkit)/'; then
   echo "a library crate reads the environment (above); use a config field, constructor or setter"
+  exit 1
+fi
+# One log2 histogram: bucket math lives only in idbox-sync's
+# histogram module, so no crate grows its own copy of the bucket
+# layout or percentile rule.
+if grep -rn 'leading_zeros' crates/*/src --include='*.rs' | grep -v '^crates/sync/src/histogram.rs:'; then
+  echo "log2 bucketing outside crates/sync/src/histogram.rs (above); use parking_lot::Log2Histogram"
   exit 1
 fi
 # The whole workspace lints clean across all targets (tests, benches,

@@ -30,7 +30,7 @@
 use idbox_auth::ClientCredential;
 use idbox_bench::{env_list, env_u64, spawn_server};
 use idbox_chirp::{BatchOp, ChirpClient, ServerConfig};
-use idbox_obs::{lag_percentile_from, LOOP_LAG_BUCKETS};
+use parking_lot::Log2Buckets;
 use std::time::{Duration, Instant};
 
 const WINDOW_MS: u64 = 1500;
@@ -97,12 +97,11 @@ fn main() {
 
     // Loop-lag p99 across one mode's window: diff the server's merged
     // histogram around the run.
-    let lag_window = |handle: &idbox_chirp::ChirpServerHandle,
-                      before: [u64; LOOP_LAG_BUCKETS]|
-     -> String {
-        let after = handle.loop_stats().lag_buckets();
-        let diff: [u64; LOOP_LAG_BUCKETS] = std::array::from_fn(|i| after[i] - before[i]);
-        lag_percentile_from(&diff, 99.0).map_or_else(|| "-".to_string(), |v| v.to_string())
+    let lag_window = |handle: &idbox_chirp::ChirpServerHandle, before: Log2Buckets<22>| {
+        let window = handle.loop_stats().lag_buckets().diff(&before);
+        window
+            .percentile(99.0)
+            .map_or_else(|| "-".to_string(), |v| v.to_string())
     };
 
     let mut rows = Vec::new();

@@ -261,7 +261,7 @@ fn run_worker(
         ws.set_conns(conns.len());
         if ready {
             let cycle = cycle_start.elapsed();
-            ws.lag.record_us(cycle.as_micros() as u64);
+            ws.lag.record(cycle.as_micros() as u64);
             if let Some(budget) = lc.stall_budget {
                 if cycle > budget {
                     ws.bump_stall();

@@ -924,10 +924,6 @@ pub(crate) fn dispatch(
             let snap = ctl.kernel.latency().snapshot();
             let mut text = String::new();
             for (name, count, p50, p99) in snap.rows() {
-                // An empty histogram has no percentiles; emit `-` rather
-                // than a fake 0 ns that reads as "instant".
-                let p50 = p50.map_or_else(|| "-".to_string(), |v| v.to_string());
-                let p99 = p99.map_or_else(|| "-".to_string(), |v| v.to_string());
                 text.push_str(&format!("{name} {count} {p50} {p99}\n"));
             }
             Ok(Reply::Payload(ok_num(text.len() as i64), text.into_bytes()))

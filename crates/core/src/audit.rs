@@ -196,16 +196,10 @@ impl AuditRing {
 /// both names, arrow-joined, since either side can be what a reviewer
 /// is looking for.
 fn call_path(call: &Syscall) -> Option<String> {
-    use Syscall::*;
-    match call {
-        Stat(p) | Lstat(p) | Open(p, ..) | Mkdir(p, _) | Rmdir(p) | Unlink(p)
-        | Readlink(p) | Truncate(p, _) | AccessCheck(p, _) | Readdir(p) | Chmod(p, _)
-        | Chown(p, ..) | Chdir(p) | Exec(p) => Some(p.clone()),
-        Link(old, new) | Symlink(old, new) | Rename(old, new) => {
-            Some(format!("{old} -> {new}"))
-        }
-        _ => None,
-    }
+    Some(match call.paths()? {
+        (p, None) => p.to_string(),
+        (old, Some(new)) => format!("{old} -> {new}"),
+    })
 }
 
 #[cfg(test)]

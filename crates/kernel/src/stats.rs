@@ -1,13 +1,13 @@
-//! Per-syscall dispatch counters.
+//! Per-syscall dispatch counters and latency histograms.
 //!
-//! The kernel sits behind a reader/writer lock shared by every
-//! supervisor and server thread, and read-only calls are dispatched
-//! under the *shared* side of that lock. The statistics table therefore
-//! cannot be a plain map bumped through `&mut self`: it is a fixed array
-//! of atomics, indexed by [`Syscall::slot`], that both dispatch paths
-//! update through `&self`.
+//! One kernel is shared by every supervisor and server thread, which
+//! dispatch through `&Kernel` concurrently. The statistics tables
+//! therefore cannot be plain maps bumped through `&mut self`: each is a
+//! fixed array of atomics, indexed by [`Syscall::slot`], updated through
+//! `&self` without any lock.
 
 use crate::syscall::Syscall;
+use parking_lot::{Log2Buckets, Log2Histogram};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -71,13 +71,13 @@ impl Clone for SyscallStats {
     }
 }
 
-/// Number of log-scale latency buckets. Bucket `i` covers durations in
+/// Number of log2 latency buckets. Bucket `i` covers durations in
 /// `[2^i, 2^(i+1))` nanoseconds (bucket 0 also absorbs 0ns), so 32
-/// buckets span 1ns up to ~4.3 seconds — wider than any simulated
-/// syscall.
+/// buckets resolve 1ns up to ~2.1 seconds — wider than any simulated
+/// syscall — and the top bucket holds everything longer.
 pub const LATENCY_BUCKETS: usize = 32;
 
-/// Per-syscall latency histograms with fixed log-scale buckets.
+/// Per-syscall latency histograms, one [`Log2Histogram`] per call.
 ///
 /// Same discipline as [`SyscallStats`]: calls from every thread are
 /// dispatched through a shared `&Kernel`, so every cell is an atomic
@@ -85,7 +85,7 @@ pub const LATENCY_BUCKETS: usize = 32;
 /// and record here without taking any kernel lock.
 #[derive(Debug)]
 pub struct LatencyStats {
-    buckets: [[AtomicU64; LATENCY_BUCKETS]; Syscall::NAMES.len()],
+    slots: [Log2Histogram<LATENCY_BUCKETS>; Syscall::NAMES.len()],
 }
 
 impl Default for LatencyStats {
@@ -94,62 +94,47 @@ impl Default for LatencyStats {
     }
 }
 
-/// The log2 bucket index for a duration in nanoseconds.
-fn bucket_of(nanos: u64) -> usize {
-    if nanos == 0 {
-        return 0;
-    }
-    ((63 - nanos.leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
-}
-
-/// The inclusive upper bound (ns) reported for bucket `i`.
-fn bucket_ceiling(i: usize) -> u64 {
-    (1u64 << (i + 1)) - 1
-}
-
 impl LatencyStats {
     /// All buckets at zero.
     pub fn new() -> Self {
         LatencyStats {
-            buckets: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
+            slots: std::array::from_fn(|_| Log2Histogram::new()),
         }
     }
 
     /// Record one dispatch of `call` that took `nanos` nanoseconds.
     pub fn record(&self, call: &Syscall, nanos: u64) {
-        self.buckets[call.slot()][bucket_of(nanos)].fetch_add(1, Ordering::Relaxed);
+        self.slots[call.slot()].record(nanos);
     }
 
     /// A point-in-time, non-atomic copy for percentile math and diffs.
     pub fn snapshot(&self) -> LatencySnapshot {
         LatencySnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|row| std::array::from_fn(|i| row[i].load(Ordering::Relaxed)))
-                .collect(),
+            slots: self.slots.iter().map(Log2Histogram::snapshot).collect(),
         }
     }
 }
 
-/// A frozen copy of [`LatencyStats`], one bucket row per syscall name.
+/// A frozen copy of [`LatencyStats`], one histogram per syscall name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencySnapshot {
-    buckets: Vec<[u64; LATENCY_BUCKETS]>,
+    slots: Vec<Log2Buckets<LATENCY_BUCKETS>>,
 }
 
 impl LatencySnapshot {
+    fn slot(&self, name: &str) -> Option<&Log2Buckets<LATENCY_BUCKETS>> {
+        let slot = Syscall::NAMES.iter().position(|&n| n == name)?;
+        Some(&self.slots[slot])
+    }
+
     /// Dispatches recorded for the named call (0 for unknown names).
     pub fn count(&self, name: &str) -> u64 {
-        match Syscall::NAMES.iter().position(|&n| n == name) {
-            Some(slot) => self.buckets[slot].iter().sum(),
-            None => 0,
-        }
+        self.slot(name).map_or(0, Log2Buckets::count)
     }
 
     /// Total dispatches recorded across all calls.
     pub fn total(&self) -> u64 {
-        self.buckets.iter().flatten().sum()
+        self.slots.iter().map(Log2Buckets::count).sum()
     }
 
     /// The latency (ns, bucket ceiling) at percentile `p` (0-100] for
@@ -160,85 +145,51 @@ impl LatencySnapshot {
     /// empty histogram has no percentile; callers that need a scalar
     /// must choose their own default (the benches use `unwrap_or(0)`).
     pub fn percentile(&self, name: &str, p: f64) -> Option<u64> {
-        let slot = Syscall::NAMES.iter().position(|&n| n == name)?;
-        percentile_of(&self.buckets[slot], p)
+        self.slot(name)?.percentile(p)
     }
 
     /// The latency at percentile `p` merged across every syscall.
     /// `None` when no call recorded any sample (same contract as
     /// [`LatencySnapshot::percentile`]).
     pub fn overall_percentile(&self, p: f64) -> Option<u64> {
-        let mut merged = [0u64; LATENCY_BUCKETS];
-        for row in &self.buckets {
-            for (m, b) in merged.iter_mut().zip(row) {
-                *m += b;
-            }
-        }
-        percentile_of(&merged, p)
+        self.slots
+            .iter()
+            .copied()
+            .sum::<Log2Buckets<LATENCY_BUCKETS>>()
+            .percentile(p)
     }
 
-    /// The events recorded between `earlier` and `self`.
-    ///
-    /// Each bucket is subtracted with `saturating_sub`: when a counter
-    /// in `self` reads *lower* than in `earlier` — the snapshots were
-    /// taken out of order, compare unrelated histograms, or a bucket's
-    /// `u64` wrapped in between — that bucket clamps to 0 instead of
-    /// underflowing to ~2^64. A wrapped bucket therefore *undercounts*
-    /// the window (its real delta is lost), which is the documented
-    /// trade: monitoring windows may read low after ~10^19 events, but
-    /// they can never explode.
+    /// The events recorded between `earlier` and `self`, per call with
+    /// [`Log2Buckets::diff`]: a bucket that reads *lower* in `self` —
+    /// the snapshots were taken out of order, compare unrelated
+    /// histograms, or a bucket's `u64` wrapped in between — clamps to 0
+    /// instead of underflowing to ~2^64. A wrapped bucket therefore
+    /// *undercounts* the window (its real delta is lost), which is the
+    /// documented trade: monitoring windows may read low after ~10^19
+    /// events, but they can never explode.
     pub fn diff(&self, earlier: &LatencySnapshot) -> LatencySnapshot {
         LatencySnapshot {
-            buckets: self
-                .buckets
+            slots: self
+                .slots
                 .iter()
-                .zip(&earlier.buckets)
-                .map(|(now, then)| {
-                    std::array::from_fn(|i| now[i].saturating_sub(then[i]))
-                })
+                .zip(&earlier.slots)
+                .map(|(now, then)| now.diff(then))
                 .collect(),
         }
     }
 
-    /// `(name, count, p50 ns, p99 ns)` for every call with data, in
-    /// [`Syscall::NAMES`] order. Percentiles are `None` when the row
-    /// has a count but no histogram mass (possible across a wrapped
-    /// `diff`): dashboards must see "no data", not a false zero.
-    pub fn rows(&self) -> Vec<(&'static str, u64, Option<u64>, Option<u64>)> {
+    /// `(name, count, p50 ns, p99 ns)` for every call with samples, in
+    /// [`Syscall::NAMES`] order. A call with no samples has no row, so
+    /// a dashboard never reads a false zero.
+    pub fn rows(&self) -> Vec<(&'static str, u64, u64, u64)> {
         Syscall::NAMES
             .iter()
-            .zip(&self.buckets)
-            .filter_map(|(&name, row)| {
-                let n: u64 = row.iter().sum();
-                (n > 0).then(|| {
-                    (
-                        name,
-                        n,
-                        percentile_of(row, 50.0),
-                        percentile_of(row, 99.0),
-                    )
-                })
+            .zip(&self.slots)
+            .filter_map(|(&name, h)| {
+                Some((name, h.count(), h.percentile(50.0)?, h.percentile(99.0)?))
             })
             .collect()
     }
-}
-
-/// Percentile over one bucket row: walk buckets until the cumulative
-/// count reaches `ceil(p% of total)`, report that bucket's ceiling.
-fn percentile_of(row: &[u64; LATENCY_BUCKETS], p: f64) -> Option<u64> {
-    let total: u64 = row.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (i, &n) in row.iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            return Some(bucket_ceiling(i));
-        }
-    }
-    Some(bucket_ceiling(LATENCY_BUCKETS - 1))
 }
 
 #[cfg(test)]
@@ -287,19 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_buckets_are_log2() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 0);
-        assert_eq!(bucket_of(2), 1);
-        assert_eq!(bucket_of(3), 1);
-        assert_eq!(bucket_of(1024), 10);
-        // Everything past the top bucket clamps into it.
-        assert_eq!(bucket_of(u64::MAX), LATENCY_BUCKETS - 1);
-        assert_eq!(bucket_ceiling(0), 1);
-        assert_eq!(bucket_ceiling(10), 2047);
-    }
-
-    #[test]
     fn latency_percentiles() {
         let l = LatencyStats::new();
         let snap = l.snapshot();
@@ -316,6 +254,17 @@ mod tests {
         assert_eq!(snap.percentile("getpid", 100.0), Some((1 << 20) - 1));
         assert!(snap.percentile("getpid", 50.0) <= snap.percentile("getpid", 99.0));
         assert_eq!(snap.percentile("no-such-call", 50.0), None);
+    }
+
+    #[test]
+    fn top_bucket_percentile_is_unbounded() {
+        // A 10 s dispatch clamps into the top bucket, which has no
+        // finite ceiling: reporting 2^32-1 ns would underestimate it.
+        let l = LatencyStats::new();
+        l.record(&Syscall::Getpid, 10_000_000_000);
+        let snap = l.snapshot();
+        assert_eq!(snap.percentile("getpid", 99.0), Some(u64::MAX));
+        assert_eq!(snap.overall_percentile(99.0), Some(u64::MAX));
     }
 
     #[test]
@@ -398,8 +347,8 @@ mod tests {
         let (name, count, p50, p99) = rows[0];
         assert_eq!(name, "getpid");
         assert_eq!(count, 3, "only the surviving bucket counts");
-        assert_eq!(p50, Some((1 << 20) - 1));
-        assert_eq!(p99, Some((1 << 20) - 1));
+        assert_eq!(p50, (1 << 20) - 1);
+        assert_eq!(p99, (1 << 20) - 1);
     }
 
     #[test]

@@ -206,30 +206,35 @@ impl Syscall {
         }
     }
 
+    /// The path(s) the call names: `(path, None)` for one-path calls,
+    /// `(old, Some(new))` for link, symlink and rename, `None` for calls
+    /// that name no path.
+    pub fn paths(&self) -> Option<(&str, Option<&str>)> {
+        use Syscall::*;
+        match self {
+            Stat(p)
+            | Lstat(p)
+            | Open(p, ..)
+            | Mkdir(p, _)
+            | Rmdir(p)
+            | Unlink(p)
+            | Readlink(p)
+            | Truncate(p, _)
+            | AccessCheck(p, _)
+            | Readdir(p)
+            | Chmod(p, _)
+            | Chown(p, ..)
+            | Chdir(p)
+            | Exec(p) => Some((p, None)),
+            Link(old, new) | Symlink(old, new) | Rename(old, new) => Some((old, Some(new))),
+            _ => None,
+        }
+    }
+
     /// True for calls that name a path (the ones the identity box must
     /// run ACL checks for).
     pub fn is_path_call(&self) -> bool {
-        use Syscall::*;
-        matches!(
-            self,
-            Stat(_)
-                | Lstat(_)
-                | Open(..)
-                | Mkdir(..)
-                | Rmdir(_)
-                | Unlink(_)
-                | Link(..)
-                | Symlink(..)
-                | Readlink(_)
-                | Rename(..)
-                | Truncate(..)
-                | AccessCheck(..)
-                | Readdir(_)
-                | Chmod(..)
-                | Chown(..)
-                | Chdir(_)
-                | Exec(_)
-        )
+        self.paths().is_some()
     }
 }
 

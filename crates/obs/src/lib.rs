@@ -31,10 +31,7 @@ pub mod flight;
 mod runtime;
 
 pub use durability::{render_wal_prometheus, WalCounters};
-pub use runtime::{
-    lag_percentile_from, render_lock_prometheus, Log2HistoUs, LoopStats, WorkerStats,
-    LOOP_LAG_BUCKETS,
-};
+pub use runtime::{render_lock_prometheus, LoopStats, WorkerStats};
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};

@@ -8,90 +8,35 @@
 //! view without stopping any worker.
 
 use crate::escape_label;
-use parking_lot::DomainLockSnapshot;
+use parking_lot::{DomainLockSnapshot, Log2Buckets, Log2Histogram};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Number of log2 microsecond buckets in a [`Log2HistoUs`].
-pub const LOOP_LAG_BUCKETS: usize = 22;
-
-fn bucket_of(us: u64) -> usize {
-    let b = 63 - (us | 1).leading_zeros() as usize;
-    b.min(LOOP_LAG_BUCKETS - 1)
-}
-
-/// Upper edge (inclusive, µs) of bucket `i`.
-fn bucket_ceiling_us(i: usize) -> u64 {
-    if i + 1 >= LOOP_LAG_BUCKETS {
-        u64::MAX
-    } else {
-        (1u64 << (i + 1)) - 1
+/// Append one Prometheus histogram series — `_bucket` lines with
+/// cumulative counts, then `_sum` and `_count` — for `family` under
+/// `labels` (already escaped, without braces). The top bucket is
+/// unbounded, so it gets only the `+Inf` edge.
+fn write_histogram<const N: usize>(
+    out: &mut String,
+    family: &str,
+    labels: &str,
+    h: &Log2Buckets<N>,
+) {
+    for (le, cum) in h.cumulative().take(N - 1) {
+        let _ = writeln!(out, "{family}_bucket{{{labels},le=\"{le}\"}} {cum}");
     }
-}
-
-/// A log2 microsecond histogram with relaxed-atomic buckets.
-#[derive(Debug, Default)]
-pub struct Log2HistoUs {
-    buckets: [AtomicU64; LOOP_LAG_BUCKETS],
-    total_us: AtomicU64,
-}
-
-impl Log2HistoUs {
-    /// Record one sample.
-    pub fn record_us(&self, us: u64) {
-        self.buckets[bucket_of(us)].fetch_add(1, Relaxed);
-        self.total_us.fetch_add(us, Relaxed);
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Relaxed)).sum()
-    }
-
-    /// Sum of all samples, microseconds.
-    pub fn total_us(&self) -> u64 {
-        self.total_us.load(Relaxed)
-    }
-
-    fn load(&self) -> [u64; LOOP_LAG_BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Relaxed))
-    }
-
-    /// Approximate percentile (bucket ceiling, µs); `None` when empty.
-    pub fn percentile_us(&self, p: f64) -> Option<u64> {
-        percentile_of(&self.load(), p)
-    }
-}
-
-/// Percentile (bucket ceiling, µs) of an externally held loop-lag
-/// bucket array — typically the difference of two
-/// [`LoopStats::lag_buckets`] snapshots; `None` when empty.
-pub fn lag_percentile_from(buckets: &[u64; LOOP_LAG_BUCKETS], p: f64) -> Option<u64> {
-    percentile_of(buckets, p)
-}
-
-fn percentile_of(buckets: &[u64; LOOP_LAG_BUCKETS], p: f64) -> Option<u64> {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (i, b) in buckets.iter().enumerate() {
-        seen += b;
-        if seen >= rank {
-            return Some(bucket_ceiling_us(i));
-        }
-    }
-    Some(bucket_ceiling_us(LOOP_LAG_BUCKETS - 1))
+    let count = h.count();
+    let _ = writeln!(out, "{family}_bucket{{{labels},le=\"+Inf\"}} {count}");
+    let _ = writeln!(out, "{family}_sum{{{labels}}} {}", h.sum());
+    let _ = writeln!(out, "{family}_count{{{labels}}} {count}");
 }
 
 /// Health counters for one event-loop worker.
 #[derive(Debug, Default)]
 pub struct WorkerStats {
     /// Readiness-cycle duration histogram (poll return → all ready
-    /// connections serviced and flushed), µs.
-    pub lag: Log2HistoUs,
+    /// connections serviced and flushed), µs, in 22 log2 buckets.
+    pub lag: Log2Histogram<22>,
     wakeups: AtomicU64,
     flushes: AtomicU64,
     conns: AtomicU64,
@@ -178,20 +123,14 @@ impl LoopStats {
     /// Loop-lag percentile merged across workers; `None` when no
     /// cycle has been recorded yet.
     pub fn lag_percentile_us(&self, p: f64) -> Option<u64> {
-        percentile_of(&self.lag_buckets(), p)
+        self.lag_buckets().percentile(p)
     }
 
     /// The merged loop-lag histogram across workers — snapshot before
-    /// and after a window, subtract, and feed [`lag_percentile_from`]
-    /// to isolate the window's cycles.
-    pub fn lag_buckets(&self) -> [u64; LOOP_LAG_BUCKETS] {
-        let mut merged = [0u64; LOOP_LAG_BUCKETS];
-        for w in self.workers.iter() {
-            for (m, b) in merged.iter_mut().zip(w.lag.load().iter()) {
-                *m += b;
-            }
-        }
-        merged
+    /// and after a window and [`Log2Buckets::diff`] them to isolate the
+    /// window's cycles.
+    pub fn lag_buckets(&self) -> Log2Buckets<22> {
+        self.workers.iter().map(|w| w.lag.snapshot()).sum()
     }
 
     /// Connections currently owned across all workers.
@@ -209,29 +148,8 @@ impl LoopStats {
         let mut out = String::new();
         out.push_str("# TYPE idbox_loop_lag_us histogram\n");
         for (i, w) in self.workers.iter().enumerate() {
-            let buckets = w.lag.load();
-            let mut cum = 0u64;
-            for (b, n) in buckets.iter().enumerate() {
-                cum += n;
-                let le = bucket_ceiling_us(b);
-                if le == u64::MAX {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "idbox_loop_lag_us_bucket{{worker=\"{i}\",le=\"{le}\"}} {cum}"
-                );
-            }
-            let _ = writeln!(
-                out,
-                "idbox_loop_lag_us_bucket{{worker=\"{i}\",le=\"+Inf\"}} {cum}"
-            );
-            let _ = writeln!(
-                out,
-                "idbox_loop_lag_us_sum{{worker=\"{i}\"}} {}",
-                w.lag.total_us()
-            );
-            let _ = writeln!(out, "idbox_loop_lag_us_count{{worker=\"{i}\"}} {cum}");
+            let labels = format!("worker=\"{i}\"");
+            write_histogram(&mut out, "idbox_loop_lag_us", &labels, &w.lag.snapshot());
         }
         for (name, get) in [
             (
@@ -285,42 +203,15 @@ pub fn render_lock_prometheus(snaps: &[DomainLockSnapshot]) -> String {
                 out,
                 "idbox_shard_lock_waits_total{{domain=\"{}\",shard=\"{i}\"}} {}",
                 escape_label(d.domain),
-                s.waits
+                s.wait.count()
             );
         }
     }
     out.push_str("# TYPE idbox_shard_lock_wait_us histogram\n");
     for d in snaps {
         for (i, s) in d.shards.iter().enumerate() {
-            let mut cum = 0u64;
-            for (b, n) in s.buckets.iter().enumerate() {
-                cum += n;
-                let le = parking_lot::lock_bucket_ceiling_us(b);
-                if le == u64::MAX {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "idbox_shard_lock_wait_us_bucket{{domain=\"{}\",shard=\"{i}\",le=\"{le}\"}} {cum}",
-                    escape_label(d.domain)
-                );
-            }
-            let _ = writeln!(
-                out,
-                "idbox_shard_lock_wait_us_bucket{{domain=\"{}\",shard=\"{i}\",le=\"+Inf\"}} {cum}",
-                escape_label(d.domain)
-            );
-            let _ = writeln!(
-                out,
-                "idbox_shard_lock_wait_us_sum{{domain=\"{}\",shard=\"{i}\"}} {}",
-                escape_label(d.domain),
-                s.wait_total_us
-            );
-            let _ = writeln!(
-                out,
-                "idbox_shard_lock_wait_us_count{{domain=\"{}\",shard=\"{i}\"}} {cum}",
-                escape_label(d.domain)
-            );
+            let labels = format!("domain=\"{}\",shard=\"{i}\"", escape_label(d.domain));
+            write_histogram(&mut out, "idbox_shard_lock_wait_us", &labels, &s.wait);
         }
     }
     out
@@ -332,26 +223,12 @@ mod tests {
     use parking_lot::ShardLockSnapshot;
 
     #[test]
-    fn histo_percentiles() {
-        let h = Log2HistoUs::default();
-        assert_eq!(h.percentile_us(99.0), None);
-        for _ in 0..99 {
-            h.record_us(100); // bucket 6, ceiling 127
-        }
-        h.record_us(100_000); // bucket 16
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.percentile_us(50.0), Some(127));
-        assert_eq!(h.percentile_us(100.0), Some((1 << 17) - 1));
-        assert!(h.total_us() >= 100 * 99 + 100_000);
-    }
-
-    #[test]
     fn loop_stats_render_and_merge() {
         let ls = LoopStats::new(2);
         ls.worker(0).bump_wakeup();
         ls.worker(0).bump_flush();
-        ls.worker(0).lag.record_us(50);
-        ls.worker(1).lag.record_us(5_000);
+        ls.worker(0).lag.record(50);
+        ls.worker(1).lag.record(5_000);
         ls.worker(1).set_conns(3);
         ls.worker(1).note_outbuf(9000);
         ls.worker(1).note_outbuf(100); // watermark does not regress
@@ -371,13 +248,11 @@ mod tests {
 
     #[test]
     fn lock_render_has_families_and_escapes() {
-        let mut buckets = [0u64; parking_lot::LOCK_WAIT_BUCKETS];
+        let mut buckets = [0u64; 22];
         buckets[1] = 2;
         let shard = ShardLockSnapshot {
             acquisitions: 10,
-            waits: 2,
-            wait_total_us: 30,
-            buckets,
+            wait: Log2Buckets::from_parts(buckets, 30),
         };
         let snap = DomainLockSnapshot {
             domain: "vfs",

@@ -8,15 +8,22 @@
 //! transparent — a panic while holding a lock does not wedge every
 //! later caller, matching `parking_lot` semantics closely enough for
 //! our supervisors, servers, and benches.
+//!
+//! Being the crate below every instrumented layer, it also holds the
+//! lock-contention profile and the workspace's one log2 histogram
+//! ([`Log2Histogram`]), which the kernel's syscall latency, the lock
+//! profile and the event-loop lag all share.
 
 use std::sync::TryLockError;
 
+mod histogram;
 mod profile;
 
+pub use histogram::{Log2Buckets, Log2Histogram};
 pub use profile::{
-    lock_bucket_ceiling_us, lock_profiling_enabled, lock_snapshot, lock_wait_percentile_us,
-    set_contention_hook, set_lock_profiling, ContentionHook, DomainLockSnapshot, DomainProfile,
-    ProfiledMutex, ProfiledRwLock, ShardLockSnapshot, LOCK_WAIT_BUCKETS,
+    lock_profiling_enabled, lock_snapshot, lock_wait_percentile_us, set_contention_hook,
+    set_lock_profiling, ContentionHook, DomainLockSnapshot, DomainProfile, ProfiledMutex,
+    ProfiledRwLock, ShardLockSnapshot,
 };
 
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.

@@ -2,12 +2,12 @@
 //!
 //! Every named lock domain (the Vfs inode shards, the process-table
 //! shards, the pipe/mount/accounts leaf locks) registers a
-//! [`DomainProfile`] here: per-shard acquisition counters plus a log2
-//! microsecond wait histogram. The fast path is deliberately cheap —
-//! an uncontended acquisition is one `try_lock` plus two relaxed
-//! atomic increments, and no clock is read at all. Only when the try
-//! fails (real contention) do we take an `Instant` pair around the
-//! blocking acquisition and bucket the wait.
+//! [`DomainProfile`] here: per-shard acquisition counters plus a
+//! [`Log2Histogram`] of contended waits in microseconds. The fast path
+//! is deliberately cheap — an uncontended acquisition is one `try_lock`
+//! plus one relaxed atomic increment, and no clock is read at all.
+//! Only when the try fails (real contention) do we take an `Instant`
+//! pair around the blocking acquisition and bucket the wait.
 //!
 //! Profiling starts on; [`set_lock_profiling`] toggles it at runtime
 //! (used by the bench overhead gate). Disabled means a single relaxed
@@ -18,29 +18,11 @@
 //! obs installs a [`ContentionHook`] to tag shard waits with the
 //! current trace, and pulls plain-data [`lock_snapshot`]s to render.
 
+use crate::histogram::{Log2Buckets, Log2Histogram};
 use crate::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-/// Number of log2 wait-time buckets. Bucket `i` holds waits whose
-/// microsecond value has floor(log2) == i; the top bucket (~2.1s and
-/// beyond) catches pathological stalls.
-pub const LOCK_WAIT_BUCKETS: usize = 22;
-
-/// Upper edge (inclusive, µs) of wait bucket `i`, for rendering.
-pub fn lock_bucket_ceiling_us(i: usize) -> u64 {
-    if i + 1 >= LOCK_WAIT_BUCKETS {
-        u64::MAX
-    } else {
-        (1u64 << (i + 1)) - 1
-    }
-}
-
-fn bucket_of(us: u64) -> usize {
-    let b = 63 - (us | 1).leading_zeros() as usize;
-    b.min(LOCK_WAIT_BUCKETS - 1)
-}
 
 static PROFILING: AtomicBool = AtomicBool::new(true);
 
@@ -70,22 +52,12 @@ pub fn set_contention_hook(hook: Box<ContentionHook>) {
     let _ = HOOK.set(hook);
 }
 
+/// Contended waits, µs, in 22 log2 buckets: the top one (~2.1 s and
+/// beyond) catches pathological stalls.
+#[derive(Default)]
 struct ShardProfile {
     acquisitions: AtomicU64,
-    waits: AtomicU64,
-    wait_total_us: AtomicU64,
-    buckets: [AtomicU64; LOCK_WAIT_BUCKETS],
-}
-
-impl ShardProfile {
-    fn new() -> Self {
-        ShardProfile {
-            acquisitions: AtomicU64::new(0),
-            waits: AtomicU64::new(0),
-            wait_total_us: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
+    wait: Log2Histogram<22>,
 }
 
 /// Per-shard acquisition and wait accounting for one named lock domain.
@@ -113,7 +85,7 @@ impl DomainProfile {
         }
         let d = Arc::new(DomainProfile {
             name,
-            shards: (0..shards).map(|_| ShardProfile::new()).collect(),
+            shards: (0..shards).map(|_| ShardProfile::default()).collect(),
         });
         reg.push(Arc::clone(&d));
         d
@@ -127,9 +99,7 @@ impl DomainProfile {
     fn note_wait(&self, shard: usize, wait_us: u64) {
         let s = &self.shards[shard];
         s.acquisitions.fetch_add(1, Relaxed);
-        s.waits.fetch_add(1, Relaxed);
-        s.wait_total_us.fetch_add(wait_us, Relaxed);
-        s.buckets[bucket_of(wait_us)].fetch_add(1, Relaxed);
+        s.wait.record(wait_us);
         if let Some(h) = HOOK.get() {
             h(self.name, shard, wait_us);
         }
@@ -167,9 +137,7 @@ impl DomainProfile {
                 .iter()
                 .map(|s| ShardLockSnapshot {
                     acquisitions: s.acquisitions.load(Relaxed),
-                    waits: s.waits.load(Relaxed),
-                    wait_total_us: s.wait_total_us.load(Relaxed),
-                    buckets: std::array::from_fn(|i| s.buckets[i].load(Relaxed)),
+                    wait: s.wait.snapshot(),
                 })
                 .collect(),
         }
@@ -181,12 +149,9 @@ impl DomainProfile {
 pub struct ShardLockSnapshot {
     /// Total profiled acquisitions (contended or not).
     pub acquisitions: u64,
-    /// Acquisitions that blocked (the `try` failed).
-    pub waits: u64,
-    /// Sum of contended wait time, microseconds.
-    pub wait_total_us: u64,
-    /// log2 µs histogram of contended waits.
-    pub buckets: [u64; LOCK_WAIT_BUCKETS],
+    /// Contended waits, µs: one sample per acquisition that blocked
+    /// (the `try` failed).
+    pub wait: Log2Buckets<22>,
 }
 
 /// Point-in-time counters for a whole named domain.
@@ -206,30 +171,19 @@ impl DomainLockSnapshot {
 
     /// Total contended acquisitions across shards.
     pub fn waits(&self) -> u64 {
-        self.shards.iter().map(|s| s.waits).sum()
+        self.shards.iter().map(|s| s.wait.count()).sum()
     }
 
     /// Total contended wait time across shards, microseconds.
     pub fn wait_total_us(&self) -> u64 {
-        self.shards.iter().map(|s| s.wait_total_us).sum()
-    }
-
-    /// Wait histogram merged across shards.
-    pub fn merged_buckets(&self) -> [u64; LOCK_WAIT_BUCKETS] {
-        let mut out = [0u64; LOCK_WAIT_BUCKETS];
-        for s in &self.shards {
-            for (o, b) in out.iter_mut().zip(s.buckets.iter()) {
-                *o += b;
-            }
-        }
-        out
+        self.shards.iter().map(|s| s.wait.sum()).sum()
     }
 
     /// Approximate percentile of contended wait time (µs), `None` when
     /// no waits were recorded. Reports the ceiling of the bucket the
     /// percentile falls in, like the syscall latency histograms.
     pub fn wait_percentile_us(&self, p: f64) -> Option<u64> {
-        percentile_of(&self.merged_buckets(), p)
+        lock_wait_percentile_us(std::slice::from_ref(self), p)
     }
 
     /// Counter delta `self - earlier`, saturating per field so a
@@ -243,9 +197,7 @@ impl DomainLockSnapshot {
                 let e = earlier.shards.get(i).cloned().unwrap_or_default();
                 ShardLockSnapshot {
                     acquisitions: s.acquisitions.saturating_sub(e.acquisitions),
-                    waits: s.waits.saturating_sub(e.waits),
-                    wait_total_us: s.wait_total_us.saturating_sub(e.wait_total_us),
-                    buckets: std::array::from_fn(|b| s.buckets[b].saturating_sub(e.buckets[b])),
+                    wait: s.wait.diff(&e.wait),
                 }
             })
             .collect();
@@ -256,22 +208,6 @@ impl DomainLockSnapshot {
     }
 }
 
-fn percentile_of(buckets: &[u64; LOCK_WAIT_BUCKETS], p: f64) -> Option<u64> {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (i, b) in buckets.iter().enumerate() {
-        seen += b;
-        if seen >= rank {
-            return Some(lock_bucket_ceiling_us(i));
-        }
-    }
-    Some(lock_bucket_ceiling_us(LOCK_WAIT_BUCKETS - 1))
-}
-
 /// Snapshot every registered domain.
 pub fn lock_snapshot() -> Vec<DomainLockSnapshot> {
     REGISTRY.lock().iter().map(|d| d.snapshot()).collect()
@@ -280,13 +216,8 @@ pub fn lock_snapshot() -> Vec<DomainLockSnapshot> {
 /// Merged wait percentile (µs) across a set of domain snapshots;
 /// `None` when nothing waited.
 pub fn lock_wait_percentile_us(snaps: &[DomainLockSnapshot], p: f64) -> Option<u64> {
-    let mut merged = [0u64; LOCK_WAIT_BUCKETS];
-    for s in snaps {
-        for (m, b) in merged.iter_mut().zip(s.merged_buckets().iter()) {
-            *m += b;
-        }
-    }
-    percentile_of(&merged, p)
+    let merged: Log2Buckets<22> = snaps.iter().flat_map(|d| &d.shards).map(|s| s.wait).sum();
+    merged.percentile(p)
 }
 
 /// A [`Mutex`] that reports acquisitions to a one-shard profile
@@ -375,19 +306,6 @@ mod tests {
     // The enabled flag and the counters are process-global; serialize
     // the tests that toggle or assert on them.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn bucket_edges() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 0);
-        assert_eq!(bucket_of(2), 1);
-        assert_eq!(bucket_of(3), 1);
-        assert_eq!(bucket_of(1024), 10);
-        assert_eq!(bucket_of(u64::MAX), LOCK_WAIT_BUCKETS - 1);
-        assert_eq!(lock_bucket_ceiling_us(0), 1);
-        assert_eq!(lock_bucket_ceiling_us(1), 3);
-        assert_eq!(lock_bucket_ceiling_us(LOCK_WAIT_BUCKETS - 1), u64::MAX);
-    }
 
     #[test]
     fn register_dedups_by_name_and_shape() {
