@@ -130,6 +130,13 @@ if grep -rn 'leading_zeros' crates/*/src --include='*.rs' | grep -v '^crates/syn
   echo "log2 bucketing outside crates/sync/src/histogram.rs (above); use parking_lot::Log2Histogram"
   exit 1
 fi
+# One send per request: a line and its terminator go out in one write
+# (codec::write_line, codec::stamp_request), never as a second
+# `\n`-only segment on a TCP_NODELAY socket.
+if grep -rnF 'write_all(b"\n")' crates/chirp/src crates/auth/src; then
+  echo "a line terminator written on its own (above); frame the line and send it in one write"
+  exit 1
+fi
 # The whole workspace lints clean across all targets (tests, benches,
 # bins), and the API docs build without warnings.
 cargo clippy --workspace --all-targets -- -D warnings

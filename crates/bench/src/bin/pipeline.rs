@@ -25,10 +25,13 @@
 //! the pipeline depths to sweep, default `4,16,64`. With
 //! `IDBOX_BENCH_ASSERT_PIPELINE` set, the run fails unless pipelining
 //! at depth >= 16 clears 5x serial — skipped on single-core hosts,
-//! where client and server contend for one hardware thread.
+//! where client and server contend for one hardware thread. The TSV is
+//! written before the gate runs, so a red run still records what it
+//! measured; each row carries the host's cores, the per-mode window
+//! and the git sha of the code measured.
 
 use idbox_auth::ClientCredential;
-use idbox_bench::{env_list, env_u64, spawn_server};
+use idbox_bench::{env_list, env_u64, git_sha, spawn_server};
 use idbox_chirp::{BatchOp, ChirpClient, ServerConfig};
 use parking_lot::Log2Buckets;
 use std::time::{Duration, Instant};
@@ -104,6 +107,7 @@ fn main() {
             .map_or_else(|| "-".to_string(), |v| v.to_string())
     };
 
+    let provenance = format!("{cores}\t{}\t{}", window.as_millis(), git_sha());
     let mut rows = Vec::new();
     // Warm the caches and the session before the serial baseline so
     // every mode is compared warm-on-warm.
@@ -112,7 +116,7 @@ fn main() {
     let serial = run_serial(&mut c, window);
     let lag = lag_window(&handle, lag0);
     println!("serial        : {serial:>10.0} ops/s  (baseline, loop p99 {lag} us)");
-    rows.push(format!("serial\t1\t{serial:.0}\t1.00\t{lag}\t{cores}"));
+    rows.push(format!("serial\t1\t{serial:.0}\t1.00\t{lag}\t{provenance}"));
 
     let mut deep_speedup = 0.0f64;
     for &depth in &depths {
@@ -127,7 +131,7 @@ fn main() {
         println!(
             "pipeline d={depth:<3}: {rate:>10.0} ops/s  ({speedup:.2}x serial, loop p99 {lag} us)"
         );
-        rows.push(format!("pipeline\t{depth}\t{rate:.0}\t{speedup:.2}\t{lag}\t{cores}"));
+        rows.push(format!("pipeline\t{depth}\t{rate:.0}\t{speedup:.2}\t{lag}\t{provenance}"));
     }
 
     let batch_depth = 64;
@@ -139,11 +143,16 @@ fn main() {
     println!(
         "batch    n={batch_depth:<2}: {rate:>10.0} ops/s  ({speedup:.2}x serial, loop p99 {lag} us)"
     );
-    rows.push(format!("batch\t{batch_depth}\t{rate:.0}\t{speedup:.2}\t{lag}\t{cores}"));
+    rows.push(format!("batch\t{batch_depth}\t{rate:.0}\t{speedup:.2}\t{lag}\t{provenance}"));
 
     if cores < 2 {
         println!("note: only {cores} core(s) available; client and server are core-bound");
     }
+    idbox_bench::write_tsv(
+        "BENCH_pipeline.tsv",
+        "mode\tdepth\tops_per_sec\tspeedup_vs_serial\tloop_p99_us\thost_cores\twindow_ms\tgit_sha",
+        &rows,
+    );
     // Optional regression gate: pipelining must actually beat the
     // round-trip cap. Skipped — not weakened — on single-core hosts.
     if std::env::var("IDBOX_BENCH_ASSERT_PIPELINE").is_ok() {
@@ -158,12 +167,6 @@ fn main() {
             println!("pipeline assertion passed: {deep_speedup:.2}x serial at depth >= 16");
         }
     }
-
-    idbox_bench::write_tsv(
-        "BENCH_pipeline.tsv",
-        "mode\tdepth\tops_per_sec\tspeedup_vs_serial\tloop_p99_us\thost_cores",
-        &rows,
-    );
     let _ = c.quit();
     handle.shutdown();
 }

@@ -184,6 +184,34 @@ pub fn results_path(name: &str) -> PathBuf {
     p
 }
 
+/// The commit the workspace was built from — `.git/HEAD` resolved
+/// through loose or packed refs — or `none` outside a git checkout.
+/// Recorded in results files so every number names its code.
+pub fn git_sha() -> String {
+    let mut root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    root.pop();
+    root.pop();
+    let git = root.join(".git");
+    let Ok(head) = std::fs::read_to_string(git.join("HEAD")) else {
+        return "none".to_string();
+    };
+    let head = head.trim();
+    let Some(name) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    std::fs::read_to_string(git.join(name))
+        .ok()
+        .map(|s| s.trim().to_string())
+        .or_else(|| {
+            let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
+            packed.lines().find_map(|l| {
+                let (sha, r) = l.split_once(' ')?;
+                (r == name).then(|| sha.to_string())
+            })
+        })
+        .unwrap_or_else(|| "none".to_string())
+}
+
 /// Write a TSV result file (header + rows).
 pub fn write_tsv(name: &str, header: &str, rows: &[String]) {
     let path = results_path(name);

@@ -35,7 +35,7 @@ use idbox_kernel::OpenFlags;
 use idbox_obs::{next_trace_id, TraceId};
 use idbox_types::{Errno, Principal, SysResult};
 use idbox_vfs::{DirEntry, StatBuf};
-use std::io::{BufReader, Write};
+use std::io::{BufRead, BufReader, IoSlice, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -181,26 +181,23 @@ fn parse_reply(line: &str) -> Result<Vec<String>, Fail> {
     }
 }
 
-/// One live connection: a buffered read half and the write half of the
-/// same socket.
+/// One live connection: a buffered read half, the write half of the
+/// same socket, and the buffer each serial request is framed into.
 #[derive(Debug)]
 struct Conn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    out: Vec<u8>,
 }
 
-struct ClientTransport<'a> {
-    reader: &'a mut BufReader<TcpStream>,
-    writer: &'a mut TcpStream,
+struct ClientTransport<'a, R, W> {
+    reader: &'a mut R,
+    writer: &'a mut W,
 }
 
-impl AuthTransport for ClientTransport<'_> {
+impl<R: BufRead, W: Write> AuthTransport for ClientTransport<'_, R, W> {
     fn send_line(&mut self, line: &str) -> Result<(), String> {
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|_| self.writer.write_all(b"\n"))
-            .and_then(|_| self.writer.flush())
-            .map_err(|e| e.to_string())
+        codec::write_line(self.writer, line).map_err(|e| e.to_string())
     }
 
     fn recv_line(&mut self) -> Result<String, String> {
@@ -229,7 +226,12 @@ fn dial(
         };
         authenticate_client(&mut t, creds).map_err(|_| Errno::EACCES)?
     };
-    Ok((Conn { reader, writer }, principal))
+    let conn = Conn {
+        reader,
+        writer,
+        out: Vec::new(),
+    };
+    Ok((conn, principal))
 }
 
 /// Advance a splitmix64 jitter stream.
@@ -450,12 +452,8 @@ impl ChirpClient {
             self.reconnects += 1;
         }
         let mut conn = self.conn.take().expect("just ensured a connection");
-        let stamped = if attempt > 1 {
-            codec::with_trace(&codec::with_retry(line, attempt - 1), trace)
-        } else {
-            codec::with_trace(line, trace)
-        };
-        let res = run_attempt(&mut conn, &stamped, payload, parse);
+        let retry = (attempt > 1).then(|| attempt - 1);
+        let res = run_attempt(&mut conn, line, retry, trace, payload, parse);
         // An application error leaves the wire in a known state — keep
         // the connection. A transport fault leaves it undefined — drop.
         if !matches!(res, Err(Fail::Transport(_))) {
@@ -818,26 +816,41 @@ impl ChirpClient {
     }
 }
 
-/// Send one stamped request and read its reply on one connection.
+/// Send one request and read its reply on one connection.
 fn run_attempt<T>(
     conn: &mut Conn,
     line: &str,
+    retry: Option<u32>,
+    trace: TraceId,
     payload: Option<&[u8]>,
     parse: &mut impl FnMut(&mut BufReader<TcpStream>, &[String]) -> SysResult<T>,
 ) -> Result<T, Fail> {
-    codec::write_line(&mut conn.writer, line).map_err(Fail::Transport)?;
-    if let Some(data) = payload {
-        conn.writer
-            .write_all(data)
-            .map_err(|_| Fail::Transport(Errno::EPIPE))?;
-        conn.writer.flush().map_err(|_| Fail::Transport(Errno::EPIPE))?;
-    }
+    let payload = payload.unwrap_or_default();
+    send_request(&mut conn.writer, &mut conn.out, line, retry, trace, payload)
+        .map_err(|_| Fail::Transport(Errno::EPIPE))?;
     let reply = codec::read_line(&mut conn.reader).map_err(Fail::Transport)?;
     let words = parse_reply(&reply)?;
     // Reply-body errors (short payload, malformed words) leave the
     // stream position undefined: transport faults, poisoning the
     // connection.
     parse(&mut conn.reader, &words).map_err(Fail::Transport)
+}
+
+/// Frame one serial request into `buf` — the line, its `retry=` and
+/// `trace=` tokens and the terminator — and send it together with its
+/// payload in one vectored write, so the request leaves as one send
+/// (one segment on a `TCP_NODELAY` socket) instead of one per part.
+fn send_request(
+    w: &mut impl Write,
+    buf: &mut Vec<u8>,
+    line: &str,
+    retry: Option<u32>,
+    trace: TraceId,
+    payload: &[u8],
+) -> std::io::Result<()> {
+    buf.clear();
+    codec::stamp_request(buf, line, None, retry, trace);
+    codec::write_all_vectored(w, &mut [IoSlice::new(buf), IoSlice::new(payload)])
 }
 
 /// Reply parser for `ok <len>` + payload responses.
@@ -1064,12 +1077,11 @@ fn run_pipeline(conn: &mut Conn, ops: &[QueuedOp]) -> SysResult<Vec<PipeReply>> 
     for (i, op) in ops.iter().enumerate() {
         // v2 stacking order: `<line> id=<n> trace=<t>` — the trace
         // token stays last on the wire, as v1 servers expect.
-        let stamped = codec::with_trace(&codec::with_id(&op.line, (i + 1) as u64), op.trace);
-        if stamped.len() + 1 > codec::LINE_MAX {
+        let start = buf.len();
+        codec::stamp_request(&mut buf, &op.line, Some((i + 1) as u64), None, op.trace);
+        if buf.len() - start > codec::LINE_MAX {
             return Err(Errno::EINVAL);
         }
-        buf.extend_from_slice(stamped.as_bytes());
-        buf.push(b'\n');
         if let Some(p) = &op.payload {
             buf.extend_from_slice(p);
         }
@@ -1620,5 +1632,93 @@ mod tests {
         assert_eq!(rows[1].trace, None);
         assert_eq!(rows[1].phase, "dispatch");
         assert_eq!((rows[1].start_ns, rows[1].dur_ns), (1500, 10));
+    }
+
+    /// A writer that records every call it receives and, when `cap` is
+    /// set, accepts at most that many bytes per call.
+    #[derive(Default)]
+    struct CountingWriter {
+        calls: usize,
+        bytes: Vec<u8>,
+        cap: Option<usize>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut budget = self.cap.unwrap_or(usize::MAX);
+            let before = self.bytes.len();
+            for b in bufs {
+                let take = b.len().min(budget);
+                self.bytes.extend_from_slice(&b[..take]);
+                budget -= take;
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The reference bytes: the line stamped by the codec's `with_*`
+    /// helpers, its terminator, then the payload.
+    fn old_framing(line: &str, retry: Option<u32>, trace: TraceId, payload: &[u8]) -> Vec<u8> {
+        let stamped = match retry {
+            Some(n) => codec::with_trace(&codec::with_retry(line, n), trace),
+            None => codec::with_trace(line, trace),
+        };
+        let mut v = stamped.into_bytes();
+        v.push(b'\n');
+        v.extend_from_slice(payload);
+        v
+    }
+
+    #[test]
+    fn every_request_leaves_in_one_write() {
+        let trace = next_trace_id();
+        let mut buf = Vec::new();
+        for (line, retry, payload) in [
+            ("whoami", None, &b""[..]),
+            ("put /work/f 5 644", None, &b"hello"[..]),
+            ("stat /work/f", Some(2), &b""[..]),
+        ] {
+            let mut w = CountingWriter::default();
+            send_request(&mut w, &mut buf, line, retry, trace, payload).unwrap();
+            assert_eq!(w.calls, 1, "{line}");
+            assert_eq!(w.bytes, old_framing(line, retry, trace, payload), "{line}");
+        }
+    }
+
+    #[test]
+    fn partial_writes_resume_where_they_stopped() {
+        let trace = next_trace_id();
+        let payload = vec![7u8; 100];
+        let mut w = CountingWriter {
+            cap: Some(3),
+            ..Default::default()
+        };
+        let line = "put /f 100 644";
+        send_request(&mut w, &mut Vec::new(), line, Some(1), trace, &payload).unwrap();
+        let want = old_framing(line, Some(1), trace, &payload);
+        assert_eq!(w.bytes, want);
+        assert_eq!(w.calls, want.len().div_ceil(3));
+    }
+
+    #[test]
+    fn auth_lines_leave_in_one_write() {
+        let mut reader = std::io::Cursor::new(Vec::new());
+        let mut w = CountingWriter::default();
+        let mut t = ClientTransport {
+            reader: &mut reader,
+            writer: &mut w,
+        };
+        t.send_line("hello unix fred").unwrap();
+        assert_eq!(w.calls, 1);
+        assert_eq!(w.bytes, b"hello unix fred\n");
     }
 }

@@ -8,7 +8,7 @@
 use idbox_obs::flight::EventName;
 use idbox_obs::TraceId;
 use idbox_types::{Errno, SysResult};
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, IoSlice, Read, Write};
 
 /// Maximum accepted line length (matches PATH_MAX plus slack).
 pub const LINE_MAX: usize = 8192;
@@ -97,11 +97,57 @@ pub fn read_line(r: &mut impl BufRead) -> SysResult<String> {
     Ok(line)
 }
 
-/// Write one line.
+/// Write one line and its terminator in a single vectored write: on a
+/// `TCP_NODELAY` socket, two writes would cost two send syscalls and
+/// two segments for every line.
 pub fn write_line(w: &mut impl Write, line: &str) -> SysResult<()> {
-    w.write_all(line.as_bytes()).map_err(|_| Errno::EPIPE)?;
-    w.write_all(b"\n").map_err(|_| Errno::EPIPE)?;
-    w.flush().map_err(|_| Errno::EPIPE)
+    write_all_vectored(w, &mut [IoSlice::new(line.as_bytes()), IoSlice::new(b"\n")])
+        .and_then(|_| w.flush())
+        .map_err(|_| Errno::EPIPE)
+}
+
+/// Write every byte of `bufs`, one `write_vectored` call per attempt:
+/// a writer that takes it all (a socket with buffer room) sees exactly
+/// one call, and a partial write resumes where it stopped.
+pub(crate) fn write_all_vectored(
+    w: &mut impl Write,
+    mut bufs: &mut [IoSlice<'_>],
+) -> std::io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Append one request line to `buf` with its tokens in wire order —
+/// `<line>[ id=<n>][ retry=<k>] trace=<t>\n` — without an intermediate
+/// `String`. The bytes equal [`with_trace`] over [`with_retry`] over
+/// [`with_id`], plus the terminator.
+pub(crate) fn stamp_request(
+    buf: &mut Vec<u8>,
+    line: &str,
+    id: Option<u64>,
+    retry: Option<u32>,
+    trace: TraceId,
+) {
+    buf.extend_from_slice(line.as_bytes());
+    // Writing into a `Vec` cannot fail.
+    if let Some(n) = id {
+        debug_assert!(n > 0, "request ids are 1-based");
+        let _ = write!(buf, " {ID_PREFIX}{n}");
+    }
+    if let Some(n) = retry {
+        debug_assert!(n > 0, "first attempts carry no retry token");
+        let _ = write!(buf, " {RETRY_PREFIX}{n}");
+    }
+    let _ = write!(buf, " {TRACE_PREFIX}{trace}");
+    buf.push(b'\n');
 }
 
 /// Read an exact-length payload.
@@ -307,6 +353,29 @@ mod tests {
         let mut r = std::io::BufReader::new(&buf[..]);
         assert_eq!(read_line(&mut r).unwrap(), "hello world");
         assert_eq!(read_line(&mut r), Err(Errno::EPIPE));
+    }
+
+    #[test]
+    fn stamped_requests_match_the_composed_tokens() {
+        let trace = idbox_obs::next_trace_id();
+        for (id, retry) in [
+            (None, None),
+            (None, Some(2)),
+            (Some(7), None),
+            (Some(3), Some(1)),
+        ] {
+            let mut want = "stat /a".to_string();
+            if let Some(n) = id {
+                want = with_id(&want, n);
+            }
+            if let Some(n) = retry {
+                want = with_retry(&want, n);
+            }
+            let want = format!("{}\n", with_trace(&want, trace));
+            let mut buf = b"old".to_vec();
+            stamp_request(&mut buf, "stat /a", id, retry, trace);
+            assert_eq!(&buf[3..], want.as_bytes());
+        }
     }
 
     #[test]

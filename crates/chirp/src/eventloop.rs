@@ -42,6 +42,10 @@ use std::time::{Duration, Instant};
 /// fire-hosing peer cannot starve its worker's other connections.
 const READ_BUDGET: usize = 256 * 1024;
 
+/// Free room `fill` offers each `read`: a request line, or a pipelined
+/// burst up to this size, arrives in one call.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Soft cap on buffered replies: while a connection's write buffer sits
 /// above this, no further frames are processed for it (the peer must
 /// drain what it already asked for — per-connection backpressure).
@@ -465,8 +469,11 @@ impl OutQueue {
 struct Conn {
     id: u64,
     stream: TcpStream,
+    /// Input window: `inbuf[inpos..inend]` is received but unconsumed;
+    /// `inbuf[inend..]` is initialized room that `fill` reads into.
     inbuf: Vec<u8>,
     inpos: usize,
+    inend: usize,
     out: OutQueue,
     last_activity: Instant,
     phase: ConnPhase,
@@ -495,6 +502,7 @@ impl Conn {
             stream: reg.stream,
             inbuf: Vec::new(),
             inpos: 0,
+            inend: 0,
             out: OutQueue::default(),
             last_activity: Instant::now(),
             phase: ConnPhase::Auth(ServerAuthMachine::new(reg.verifier)),
@@ -508,21 +516,28 @@ impl Conn {
         }
     }
 
-    /// Pull whatever the socket has (bounded by [`READ_BUDGET`]).
+    /// Pull what the socket has (bounded by [`READ_BUDGET`]), reading
+    /// straight into `inbuf`'s free room. A read that comes back short
+    /// of the room offered has drained the socket, so the loop stops
+    /// there instead of paying a second `read` that would only return
+    /// `EAGAIN`: `poll` is level-triggered, so bytes that land later
+    /// wake the loop again.
     fn fill(&mut self) {
-        let mut scratch = [0u8; 16 * 1024];
         let mut total = 0;
         loop {
-            match (&self.stream).read(&mut scratch) {
+            self.make_room();
+            let room = &mut self.inbuf[self.inend..];
+            let offered = room.len();
+            match (&self.stream).read(room) {
                 Ok(0) => {
                     self.saw_eof = true;
                     break;
                 }
                 Ok(n) => {
-                    self.inbuf.extend_from_slice(&scratch[..n]);
+                    self.inend += n;
                     self.last_activity = Instant::now();
                     total += n;
-                    if total >= READ_BUDGET {
+                    if n < offered || total >= READ_BUDGET {
                         break;
                     }
                 }
@@ -592,18 +607,37 @@ impl Conn {
         self.out.push_owned(b"\n");
     }
 
+    /// Ensure at least [`READ_CHUNK`] bytes of room past `inend`: slide
+    /// the unconsumed bytes to the front, and grow the window only when
+    /// that is not enough (a large payload still arriving). Growth adds
+    /// just the room needed, so a large payload is zeroed no further
+    /// than it has arrived (the `Vec` still doubles its capacity).
+    fn make_room(&mut self) {
+        if self.inbuf.len() - self.inend >= READ_CHUNK {
+            return;
+        }
+        if self.inpos > 0 {
+            self.inbuf.copy_within(self.inpos..self.inend, 0);
+            self.inend -= self.inpos;
+            self.inpos = 0;
+        }
+        if self.inbuf.len() - self.inend < READ_CHUNK {
+            self.inbuf.resize(self.inend + READ_CHUNK, 0);
+        }
+    }
+
     /// Unconsumed input.
     fn avail(&self) -> usize {
-        self.inbuf.len() - self.inpos
+        self.inend - self.inpos
     }
 
     fn consume(&mut self, n: usize) {
         self.inpos += n;
-        // Compact once the consumed prefix dominates, so long sessions
-        // do not accrete an ever-growing buffer.
-        if self.inpos > 4096 && self.inpos * 2 >= self.inbuf.len() {
-            self.inbuf.drain(..self.inpos);
+        // Fully consumed: rewind for free, so a serial session reads
+        // every request into the front of the window.
+        if self.inpos == self.inend {
             self.inpos = 0;
+            self.inend = 0;
         }
     }
 
@@ -611,7 +645,7 @@ impl Conn {
     /// the same bound as `codec::read_line`: the newline must arrive
     /// within [`codec::LINE_MAX`] bytes.
     fn take_line(&mut self) -> Result<Option<String>, Errno> {
-        let buf = &self.inbuf[self.inpos..];
+        let buf = &self.inbuf[self.inpos..self.inend];
         let window = buf.len().min(codec::LINE_MAX);
         match buf[..window].iter().position(|&b| b == b'\n') {
             Some(i) => {

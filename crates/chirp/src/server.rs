@@ -16,7 +16,6 @@ use idbox_obs::{
 use idbox_types::{CostModel, Errno, SysResult};
 use idbox_vfs::{Cred, ExtentList};
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -388,9 +387,7 @@ impl ChirpServer {
                                 Some(Errno::EAGAIN),
                                 None,
                             );
-                            let _ = stream
-                                .write_all(error_line(Errno::EAGAIN).as_bytes())
-                                .and_then(|_| stream.write_all(b"\n"));
+                            let _ = codec::write_line(&mut stream, &error_line(Errno::EAGAIN));
                             continue;
                         }
                         let id = next_id;

@@ -298,7 +298,7 @@ impl IdentityBoxPolicy {
         pid: Pid,
         path: &str,
     ) -> SysResult<(Ino, String, Option<Ino>)> {
-        let cwd = kernel.process(pid)?.cwd;
+        let cwd = kernel.cwd_ino(pid)?;
         kernel.vfs().resolve_entry(cwd, path, &self.sup_cred)
     }
 
@@ -364,10 +364,9 @@ impl IdentityBoxPolicy {
         unix_want: Access,
         unix_dir_want: Option<Access>,
     ) -> bool {
-        let Ok(proc_entry) = kernel.process(pid) else {
+        let Ok(cwd) = kernel.cwd_ino(pid) else {
             return false;
         };
-        let cwd = proc_entry.cwd;
         let vfs = kernel.vfs();
         let nobody = aclfs::nobody_cred();
         match vfs.resolve(cwd, path, true, &nobody) {
@@ -603,11 +602,9 @@ impl IdentityBoxPolicy {
 
             // Signals: only to processes carrying the same identity
             // (paper, Section 3).
-            Kill(target, _) => match kernel.process(*target) {
-                Ok(t) if t.identity.as_ref() == Some(&self.identity) => {
-                    PolicyDecision::Allow
-                }
-                Ok(_) => {
+            Kill(target, _) => match kernel.carries_identity(*target, &self.identity) {
+                Ok(true) => PolicyDecision::Allow,
+                Ok(false) => {
                     PolicyStats::bump(&self.stats.denials);
                     PolicyDecision::Deny(Errno::EPERM)
                 }

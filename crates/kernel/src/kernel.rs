@@ -555,6 +555,18 @@ impl Kernel {
         self.with_proc(pid, |p| p.clone())
     }
 
+    /// A process's working-directory inode, read in place: hot-path
+    /// callers need it without a [`Kernel::process`] copy of the fd
+    /// table and environment.
+    pub fn cwd_ino(&self, pid: Pid) -> SysResult<Ino> {
+        self.with_proc(pid, |p| p.cwd)
+    }
+
+    /// Whether a process carries `identity`, read in place.
+    pub fn carries_identity(&self, pid: Pid, identity: &Identity) -> SysResult<bool> {
+        self.with_proc(pid, |p| p.identity.as_ref() == Some(identity))
+    }
+
     /// All live pids, ascending.
     pub fn pids(&self) -> Vec<Pid> {
         let mut out: Vec<Pid> = self
